@@ -19,10 +19,10 @@ import (
 // The same deterministic base day — windows of commits with a window
 // advance between them — runs against the durable engine at three
 // checkpoint intervals (never, every 4 windows, every window), in
-// lockstep with a legacy cluster journaling its full history into a
+// lockstep with an in-memory cluster journaling its full history into a
 // buffer. After the day, each arm's cluster is "crashed" and recovered
 // from its checkpoint + tail segments, and the recovery is pinned against
-// a full-log replay of the legacy journal: identical masters and
+// a full-log replay of the in-memory journal: identical masters and
 // byte-identical re-journaled images. The arms then show the win:
 // checkpointing shrinks the log footprint and the records a restart
 // replays, proportionally to the interval, while the never-checkpoint arm
@@ -55,9 +55,9 @@ func E19DurableStore() *Table {
 		gen := workload.NewGenerator(workload.Config{Seed: 19, Items: 32, PCommutative: 0.5})
 		origin := gen.OriginState()
 		cfg := replica.Config{Weights: cost.DefaultWeights()}
-		legacy := replica.NewBaseCluster(origin, cfg)
+		oracle := replica.NewBaseCluster(origin, cfg)
 		var full bytes.Buffer
-		if err := legacy.AttachJournal(&full); err != nil {
+		if err := oracle.AttachJournal(&full); err != nil {
 			panic(err)
 		}
 		armDir := filepath.Join(dir, fmt.Sprintf("every-%d", every))
@@ -68,7 +68,7 @@ func E19DurableStore() *Table {
 		n := 0
 		for w := 0; w < windows; w++ {
 			if w > 0 {
-				legacy.AdvanceWindow()
+				oracle.AdvanceWindow()
 				durable.AdvanceWindow()
 			}
 			if every > 0 && w > 0 && w%every == 0 {
@@ -80,7 +80,7 @@ func E19DurableStore() *Table {
 				txn := gen.Txn(tx.Base)
 				txn.ID = fmt.Sprintf("T%d", n)
 				n++
-				if err := legacy.ExecBase(txn); err != nil {
+				if err := oracle.ExecBase(txn); err != nil {
 					panic(err)
 				}
 				if err := durable.ExecBase(txn); err != nil {
@@ -100,7 +100,7 @@ func E19DurableStore() *Table {
 		}
 
 		// Crash: recover from checkpoint + tail, and independently from the
-		// full legacy log; the two recoveries must re-journal to identical
+		// full in-memory log; the two recoveries must re-journal to identical
 		// bytes.
 		re, rec, err := replica.OpenBase(armDir, origin, cfg)
 		if err != nil {

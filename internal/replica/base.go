@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,11 +32,6 @@ var ErrNotBase = errors.New("replica: transaction is not a base transaction")
 type baseEntry struct {
 	t   *tx.Transaction
 	eff *tx.Effect
-	// after is the state snapshot after this entry — nil when a storage
-	// engine serves per-position states from its version chains instead
-	// (Config.Store); stateAt and windowPrefix then materialize states
-	// from MVCC snapshots.
-	after model.State
 	// global, when non-nil, links a per-shard slice of a cross-shard
 	// transaction to its global identity (shard.go). The slice's t/eff are
 	// restricted to this shard's items — exact for single-shard merges,
@@ -94,11 +90,12 @@ type BaseCluster struct {
 	// deletes — losing acknowledged commits. Nil without a durable store.
 	ckptGate chan struct{}
 
-	// store, when non-nil, receives every committed entry's writes stamped
-	// with its (window, pos) history coordinate; per-position base states
-	// are then served from its MVCC snapshots (Config.Store). disk is the
-	// same engine when it is durable — the checkpoint/rotation target.
-	// Both are set at construction and immutable afterwards.
+	// store receives every committed entry's writes stamped with its
+	// (window, pos) history coordinate and serves the per-position base
+	// states from its MVCC snapshots (Config.Store, a fresh memory engine
+	// when unset). disk is the same engine when it is durable — the
+	// checkpoint/rotation target, nil otherwise. Both are set at
+	// construction and immutable afterwards.
 	store store.Engine
 	disk  *store.Disk
 
@@ -177,7 +174,7 @@ type prefixCache struct {
 	effects   []*tx.Effect
 	// snap pins the storage engine's version chains at the window origin
 	// while the cache is alive, so compaction cannot drop versions the
-	// cached states were materialized from. nil without a store.
+	// cached states were materialized from. nil until the cache is built.
 	snap *store.Snapshot
 }
 
@@ -191,23 +188,25 @@ func NewBaseCluster(initial model.State, cfg Config) *BaseCluster {
 		panic(fmt.Sprintf("replica: NewBaseCluster: %v", err))
 	}
 	cfg = cfg.withDefaults()
+	eng := cfg.Store
+	if eng == nil {
+		eng = store.NewMemory()
+	}
 	b := &BaseCluster{
 		cfg:          cfg,
 		lm:           lockmgr.New(),
 		master:       initial.Clone(),
 		windowID:     1,
 		windowOrigin: initial.Clone(),
-		store:        cfg.Store,
+		store:        eng,
 	}
-	if d, ok := cfg.Store.(*store.Disk); ok {
+	if d, ok := eng.(*store.Disk); ok {
 		b.disk = d
 		b.ckptGate = make(chan struct{}, 1)
 	}
-	if b.store != nil {
-		// Seed the chains with the initial state at the first coordinate;
-		// every later watermark resolves through it.
-		b.store.Set(b.windowID, 0, b.master)
-	}
+	// Seed the chains with the initial state at the first coordinate;
+	// every later watermark resolves through it.
+	b.store.Set(b.windowID, 0, b.master)
 	b.initFollowers()
 	return b
 }
@@ -257,20 +256,7 @@ func (b *BaseCluster) AdvanceWindow() int {
 	b.mu.Lock()
 	b.windowID++
 	b.windowOrigin = b.master.Clone()
-	b.entries = nil
-	b.structVer++
-	// The prefix cache describes the closed window: drop it and let the
-	// storage engine compact version chains below the new origin
-	// (satellite: the cache previously survived window advances and grew
-	// without bound).
-	b.trimPrefixLocked()
-	if b.store != nil {
-		// No explicit version is written at the new origin: a read at
-		// (windowID, 0) resolves to the newest version of the closed
-		// window, which is exactly the master state that became the
-		// origin. Compaction to that floor keeps one version per item.
-		b.store.Checkpoint(b.windowID, 0)
-	}
+	b.closeWindowLocked()
 	err := b.logWindow()
 	id := b.windowID
 	b.mu.Unlock()
@@ -282,6 +268,22 @@ func (b *BaseCluster) AdvanceWindow() int {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
 	return id
+}
+
+// closeWindowLocked discards the closed window's history once b.windowID
+// and b.windowOrigin name the new window. The prefix cache describes the
+// closed window, so it is dropped, and the version chains are compacted
+// below the new origin. No explicit version is written at the origin: a
+// read at (windowID, 0) resolves to the newest version of the closed
+// window, which is exactly the master state that became the origin, so
+// compaction to that floor keeps one version per item. Caller holds b.mu.
+//
+//tiermerge:locks(cluster)
+func (b *BaseCluster) closeWindowLocked() {
+	b.entries = nil
+	b.structVer++
+	b.trimPrefixLocked()
+	b.store.Checkpoint(b.windowID, 0)
 }
 
 // trimPrefixLocked drops the prefix cache and releases its storage
@@ -365,8 +367,7 @@ func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
 	if err != nil {
 		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
 	}
-	b.entries = append(b.entries, baseEntry{t: t, eff: eff, after: b.entryAfter()})
-	b.storeCommit(len(b.entries), eff.Writes)
+	b.appendEntryLocked(baseEntry{t: t, eff: eff})
 	b.chargeBaseExec(t, eff)
 	if err := b.logCommit(t, eff); err != nil {
 		return fmt.Errorf("replica: journal %s: %w", t.ID, err)
@@ -374,28 +375,15 @@ func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
 	return nil
 }
 
-// entryAfter returns the after-state to stamp on a committed entry: nil
-// when the storage engine serves per-position states from version chains,
-// a master clone otherwise. Caller holds b.mu.
+// appendEntryLocked appends a committed entry at the history tail and
+// records its writes in the storage engine at its history coordinate
+// (entry index i lives at position i+1; position 0 is the window origin).
+// Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) entryAfter() model.State {
-	if b.store != nil {
-		return nil
-	}
-	return b.master.Clone()
-}
-
-// storeCommit records a committed entry's writes in the storage engine at
-// its history coordinate (entry index i lives at position i+1; position 0
-// is the window origin). Caller holds b.mu, having already appended the
-// entry.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) storeCommit(pos int, writes map[model.Item]model.Value) {
-	if b.store != nil {
-		b.store.Set(b.windowID, pos, writes)
-	}
+func (b *BaseCluster) appendEntryLocked(e baseEntry) {
+	b.entries = append(b.entries, e)
+	b.store.Set(b.windowID, len(b.entries), e.eff.Writes)
 }
 
 // acquireAll takes the item locks in the given order, waiting as needed;
@@ -440,13 +428,9 @@ func (b *BaseCluster) stateAt(pos int) model.State {
 	if pos == 0 {
 		return b.windowOrigin
 	}
-	if b.store != nil {
-		snap := b.store.SnapshotAt(b.windowID, pos)
-		st := snap.State()
-		snap.Release()
-		return st
-	}
-	return b.entries[pos-1].after
+	snap := b.store.SnapshotAt(b.windowID, pos)
+	defer snap.Release()
+	return snap.State()
 }
 
 // windowPrefix returns the current window's base history as capped views
@@ -455,9 +439,10 @@ func (b *BaseCluster) stateAt(pos int) model.State {
 //
 // The returned slices are safe to read without the lock: between structVer
 // bumps the cache only appends, appends touch indices past every
-// previously returned view's length, and the per-entry states are
-// immutable once stored (commits clone them; interior inserts replace them
-// and bump structVer, forcing a rebuild with fresh backing arrays).
+// previously returned view's length, and the per-position states are
+// freshly materialized from the version chains and never mutated
+// (interior inserts bump structVer, forcing a rebuild with fresh backing
+// arrays).
 //
 //tiermerge:locks(cluster)
 //tiermerge:immutable
@@ -472,19 +457,12 @@ func (b *BaseCluster) windowPrefix() (entries []history.Entry, states []model.St
 		c.entries = make([]history.Entry, 0, n+8)
 		c.states = append(make([]model.State, 0, n+9), b.windowOrigin)
 		c.effects = make([]*tx.Effect, 0, n+8)
-		c.snap = nil
-		if b.store != nil {
-			c.snap = b.store.SnapshotAt(b.windowID, 0)
-		}
+		c.snap = b.store.SnapshotAt(b.windowID, 0)
 	}
 	for i := len(c.entries); i < n; i++ {
 		e := b.entries[i]
 		c.entries = append(c.entries, history.Entry{T: e.t})
-		if c.snap != nil {
-			c.states = append(c.states, c.snap.StateAt(i+1))
-		} else {
-			c.states = append(c.states, e.after)
-		}
+		c.states = append(c.states, c.snap.StateAt(i+1))
 		c.effects = append(c.effects, e.eff)
 	}
 	return c.entries[:n:n], c.states[: n+1 : n+1], c.effects[:n:n]
@@ -605,53 +583,12 @@ func (b *BaseCluster) reprocessOne(t *tx.Transaction, tentEff *tx.Effect) (ok bo
 	}
 	b.master = scratch
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
-	b.entries = append(b.entries, baseEntry{t: base, eff: eff, after: b.entryAfter()})
-	b.storeCommit(len(b.entries), eff.Writes)
+	b.appendEntryLocked(baseEntry{t: base, eff: eff})
 	b.propagate(base.ID, eff.Writes)
 	if err := b.logCommit(base, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
 	return true
-}
-
-// applyForwarded installs a merge's forwarded write-back (repaired values
-// plus net deltas) as one base transaction with a single forced log write
-// (Section 7.1: "all the updates need be forced to durable logs only
-// once"). Caller holds b.mu. Returns the entry index of the installed
-// transaction, or -1 when there was nothing to forward.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) applyForwarded(mobileID string, values, deltas map[model.Item]model.Value) int {
-	if len(values)+len(deltas) == 0 {
-		return -1
-	}
-	return b.applyForwardTxn(b.forwardTxn(mobileID, values, deltas), len(values)+len(deltas), nil)
-}
-
-// applyForwardTxn appends one forwarded-updates transaction of nUpd update
-// statements at the history tail, stamping g (may be nil) as its
-// cross-shard identity. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) applyForwardTxn(ft *tx.Transaction, nUpd int, g *crossTxn) int {
-	eff, err := ft.ExecInPlace(b.master, nil)
-	if err != nil {
-		// Constant and additive updates cannot fail; a failure is a
-		// programming error.
-		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
-	}
-	b.entries = append(b.entries, baseEntry{t: ft, eff: eff, after: b.entryAfter(), global: g})
-	b.storeCommit(len(b.entries), eff.Writes)
-	b.counters.Update(func(c *cost.Counts) {
-		c.BaseApplies += int64(nUpd)
-		c.BaseLocks += int64(nUpd)
-		c.BaseForcedWrites++
-	})
-	b.propagate(ft.ID, eff.Writes)
-	if err := b.logCommit(ft, eff); err != nil {
-		panic(fmt.Sprintf("replica: base journal failed: %v", err))
-	}
-	return len(b.entries) - 1
 }
 
 // Merge runs the merging protocol for a connected mobile node. It validates
@@ -680,11 +617,11 @@ func (b *BaseCluster) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome
 	return out, nil
 }
 
-// installForwarded installs the forwarded write-back at the given history
-// position (always the tail under Strategy 2; possibly earlier under
-// Strategy 1, after the conflict check). For an interior insert the stored
-// after-states of later entries are patched — legal because the conflict
-// check guaranteed no later entry touches the forwarded items. Caller holds
+// installForwarded installs a merge's forwarded write-back (repaired values
+// plus net deltas) as one base transaction with a single forced log write
+// (Section 7.1: "all the updates need be forced to durable logs only
+// once") at the given history position: always the tail under Strategy 2,
+// possibly earlier under Strategy 1, after the conflict check. Caller holds
 // b.mu.
 //
 //tiermerge:locks(cluster)
@@ -703,51 +640,43 @@ func (b *BaseCluster) installForwarded(mobileID string, values, deltas map[model
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g *crossTxn) {
-	if at >= len(b.entries) {
-		b.applyForwardTxn(ft, nUpd, g)
-		return
+	interior := at < len(b.entries)
+	st := b.master
+	if interior {
+		st = b.stateAt(at).Clone()
 	}
-	st := b.stateAt(at).Clone()
 	eff, err := ft.ExecInPlace(st, nil)
 	if err != nil {
+		// Constant and additive updates cannot fail; a failure is a
+		// programming error.
 		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
 	}
-	entry := baseEntry{t: ft, eff: eff, after: st, global: g}
-	if b.store != nil {
-		entry.after = nil
-	}
-	b.entries = append(b.entries, baseEntry{})
-	copy(b.entries[at+1:], b.entries[at:])
-	b.entries[at] = entry
-	// The prefix changed shape in the middle: invalidate every outstanding
-	// snapshot and the cache built over the old arrangement.
-	b.structVer++
-	if b.store != nil {
-		// The engine shifts every version of this window at position
-		// > at up one and lands the writes at the insert position; the
-		// patched per-position states follow from version resolution
-		// (the conflict check guaranteed no later entry touches the
-		// forwarded items).
+	if interior {
+		b.entries = slices.Insert(b.entries, at, baseEntry{t: ft, eff: eff, global: g})
+		// The prefix changed shape in the middle: invalidate every
+		// outstanding snapshot and the cache built over the old
+		// arrangement.
+		b.structVer++
+		// The engine shifts every version of this window at position > at
+		// up one and lands the executed write images at the insert
+		// position. The states after it follow from version resolution —
+		// exact for additive (delta) statements too, because the conflict
+		// check guaranteed no later entry touches the forwarded items, so
+		// the value at the insert position equals the live one.
 		b.store.InsertAt(b.windowID, at+1, eff.Writes)
+		b.master.Apply(eff.Writes)
 	} else {
-		// Patch with the executed write images: exact for additive (delta)
-		// statements too, because the conflict check guaranteed no later
-		// entry touches the forwarded items, so the value at the insert
-		// position equals the live one.
-		for i := at + 1; i < len(b.entries); i++ {
-			b.entries[i].after = b.entries[i].after.Clone().Apply(eff.Writes)
-		}
+		b.appendEntryLocked(baseEntry{t: ft, eff: eff, global: g})
 	}
-	b.master.Apply(eff.Writes)
 	b.counters.Update(func(c *cost.Counts) {
 		c.BaseApplies += int64(nUpd)
 		c.BaseLocks += int64(nUpd)
 		c.BaseForcedWrites++
 	})
 	b.propagate(ft.ID, eff.Writes)
-	// The journal is value-ordered, not position-ordered: replaying the
-	// forwarded transaction last still lands on the same master state
-	// because the insert-conflict check guaranteed no later committed entry
+	// The journal is value-ordered, not position-ordered: replaying an
+	// interior insert last still lands on the same master state because
+	// the insert-conflict check guaranteed no later committed entry
 	// touches these items.
 	if err := b.logCommit(ft, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))

@@ -128,8 +128,7 @@ func (b *BaseCluster) replayRecords(recs []wal.Record) (committed int, open bool
 				return committed, false, fmt.Errorf("replica: recover base: %w: %s write-count mismatch",
 					wal.ErrCorrupt, curTxn.ID)
 			}
-			b.entries = append(b.entries, baseEntry{t: curTxn, eff: eff, after: b.entryAfter()})
-			b.storeCommit(len(b.entries), eff.Writes)
+			b.appendEntryLocked(baseEntry{t: curTxn, eff: eff})
 			b.propagate(curTxn.ID, eff.Writes)
 			committed++
 			curTxn, curWrites = nil, nil
@@ -144,7 +143,9 @@ func (b *BaseCluster) replayRecords(recs []wal.Record) (committed int, open bool
 				return committed, false, fmt.Errorf("replica: recover base: %w: window origin diverges from replayed master",
 					wal.ErrCorrupt)
 			}
-			b.entries = nil
+			// Compact exactly as the live AdvanceWindow did: a full-log
+			// replay must not keep every version of every closed window.
+			b.closeWindowLocked()
 		case wal.KindCheckout:
 			return committed, false, fmt.Errorf("replica: recover base: %w: duplicate checkout", wal.ErrCorrupt)
 		default:

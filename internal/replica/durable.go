@@ -262,15 +262,12 @@ func lineBounds(data []byte) []int {
 	return out
 }
 
-// CloseStore flushes and closes the cluster's storage engine, if any. The
-// cluster must be quiescent — no in-flight commits or merges.
+// CloseStore flushes and closes the cluster's storage engine. The cluster
+// must be quiescent — no in-flight commits or merges.
 //
 //tiermerge:locks(none)
 //tiermerge:blocking
 func (b *BaseCluster) CloseStore() error {
-	if b.store == nil {
-		return nil
-	}
 	return b.store.Close()
 }
 

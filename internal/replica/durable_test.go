@@ -195,6 +195,48 @@ func TestStoreBoundedAcrossWindows(t *testing.T) {
 	}
 }
 
+// TestReplayCompactsAcrossWindows: replaying a journal's window records
+// must compact the version chains exactly as the live AdvanceWindow did.
+// Regression: the replayed window advance only reset the history, so a
+// full-log recovery of 60 windows × 8 deposits kept 484 versions where
+// the live run holds 4 + 8.
+func TestReplayCompactsAcrossWindows(t *testing.T) {
+	live := store.NewMemory()
+	b := NewBaseCluster(origin(), Config{Store: live})
+	var journal bytes.Buffer
+	if err := b.AttachJournal(&journal); err != nil {
+		t.Fatal(err)
+	}
+	const windows, perWindow = 60, 8
+	for wnd := 0; wnd < windows; wnd++ {
+		for i := 0; i < perWindow; i++ {
+			id := fmt.Sprintf("T%d.%d", wnd, i)
+			if err := b.ExecBase(workload.Deposit(id, tx.Base, "x", 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.AdvanceWindow()
+	}
+	eng := store.NewMemory()
+	rec, _, err := RecoverBaseCluster(bytes.NewReader(journal.Bytes()), Config{Store: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Master().Equal(b.Master()) || rec.WindowID() != b.WindowID() {
+		t.Fatalf("recovered master %s window %d, want %s window %d",
+			rec.Master(), rec.WindowID(), b.Master(), b.WindowID())
+	}
+	got, want := eng.Stats().Versions, live.Stats().Versions
+	if got != want {
+		t.Errorf("replayed version count %d, live run %d", got, want)
+	}
+	// origin() has 4 items; the current window holds at most perWindow
+	// more versions.
+	if got > 4+perWindow {
+		t.Errorf("replayed version count %d exceeds per-window bound %d", got, 4+perWindow)
+	}
+}
+
 // --- Tentpole: store-backed clusters behave like legacy ones.
 
 // TestStoreBackedClusterMatchesLegacy drives an identical workload —

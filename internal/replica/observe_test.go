@@ -452,7 +452,7 @@ func TestDebugHandler(t *testing.T) {
 	if _, err := m.ConnectMerge(); err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	h := srv.DebugHandler()
 

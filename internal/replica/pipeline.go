@@ -88,8 +88,8 @@ type preparedMerge struct {
 	// forwarded delta composes with the extension's increments — so
 	// admission validation tolerates the overlap instead of retrying.
 	// Empty under DisableDeltas and under Strategy 1 (whose interior
-	// insert patches later after-states, which an overlapping extension
-	// entry would corrupt).
+	// insert shifts later states by the inserted write images, which an
+	// overlapping extension entry would corrupt).
 	deltaFoot model.ItemSet
 	effByTxn  map[*tx.Transaction]*tx.Effect
 	// insertConflict records a Strategy 1 insert-position conflict found
@@ -450,8 +450,8 @@ func (p *preparedMerge) chargePrepared(cfg Config, hm *history.Augmented, prefix
 // deltaFootprint derives the delta-pure subset of the merge footprint: the
 // items every tentative transaction touching them accessed only as pure
 // commutative increments. Disabled (nil) when delta semantics are off or
-// under Strategy 1 — the interior insert patches later after-states with
-// write images, which is only exact when nothing after the insert position
+// under Strategy 1 — the interior insert shifts later states by its write
+// images, which is only exact when nothing after the insert position
 // touches the forwarded items, delta-pure or not.
 func deltaFootprint(cfg Config, hm *history.Augmented, footprint model.ItemSet) model.ItemSet {
 	if cfg.MergeOptions.DisableDeltas || cfg.Origin == Strategy1 {

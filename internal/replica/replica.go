@@ -111,11 +111,10 @@ type Config struct {
 	// cheap (obs.Metrics, obs.Tracer) and never call back into the cluster.
 	Observer obs.Observer
 
-	// Store, when non-nil, is the storage engine the base tier writes
-	// committed entries through (DESIGN.md §14). Per-position base states
-	// are then served from MVCC snapshots instead of per-entry full-state
-	// clones, and window advance compacts the version chains. nil keeps
-	// the legacy behavior: every committed entry clones the master.
+	// Store is the storage engine the base tier writes committed entries
+	// through (DESIGN.md §14). Per-position base states are served from
+	// its MVCC snapshots, and window advance compacts its version chains.
+	// nil selects a fresh in-memory engine (store.NewMemory) per cluster.
 	// OpenBase sets it to the durable *store.Disk engine it recovers from.
 	Store store.Engine
 }

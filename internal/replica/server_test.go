@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,7 +18,7 @@ import (
 // messages and compares against the direct-call path.
 func TestServerMergeRoundTrip(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	c, err := Dial("m1", srv)
@@ -57,7 +58,7 @@ func TestServerMergeRoundTrip(t *testing.T) {
 // out and re-executed from the shipped code.
 func TestServerConflictOverWire(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	c, err := Dial("m1", srv)
@@ -88,7 +89,7 @@ func TestServerConflictOverWire(t *testing.T) {
 // TestServerReprocessOverWire exercises the two-tier baseline path.
 func TestServerReprocessOverWire(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	c, err := Dial("m1", srv)
 	if err != nil {
@@ -113,7 +114,7 @@ func TestServerReprocessOverWire(t *testing.T) {
 // single-goroutine server serializes them and the additive total survives.
 func TestServerConcurrentClients(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	const clients, rounds = 8, 5
@@ -155,7 +156,7 @@ func TestServerConcurrentClients(t *testing.T) {
 // TestServerClosedRejectsCalls: calls after Close fail fast.
 func TestServerClosedRejectsCalls(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	c, err := Dial("m1", srv)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestServerClosedRejectsCalls(t *testing.T) {
 // TestServerShipsBadIDs: the back-out set survives the wire as a summary.
 func TestServerShipsBadIDs(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	c, err := Dial("m1", srv)
 	if err != nil {
@@ -195,7 +196,7 @@ func TestServerShipsBadIDs(t *testing.T) {
 // additive total proves no double-merge happened.
 func TestLossyTransportExactlyOnce(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	srv.DropEveryNth(2)
 
@@ -237,7 +238,7 @@ func TestLossyTransportExactlyOnce(t *testing.T) {
 // journal+seq sent twice merges once.
 func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	c, err := Dial("m1", srv)
 	if err != nil {
@@ -266,6 +267,120 @@ func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 	}
 }
 
+// TestRetryAfterLostMergeResponseNotDoubleApplied: a client whose merge
+// response is lost on every attempt gives up with ErrResponseLost after
+// the server applied the merge. Regression: the caller's next ConnectMerge
+// shipped the same history under a fresh seq, and the server merged it a
+// second time (x=110). The retry must resend the unanswered reconnect
+// under its original seq and get the cached outcome.
+func TestRetryAfterLostMergeResponseNotDoubleApplied(t *testing.T) {
+	b := NewBaseCluster(origin(), Config{})
+	srv := Serve(b)
+	defer srv.Close()
+	c, err := Dial("m1", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(workload.Deposit("Tm1", tx.Tentative, "x", 5)); err != nil {
+		t.Fatal(err)
+	}
+	srv.DropEveryNth(1)
+	if _, err := c.ConnectMerge(); !errors.Is(err, ErrResponseLost) {
+		t.Fatalf("ConnectMerge under total loss = %v, want ErrResponseLost", err)
+	}
+	if got := b.Master().Get("x"); got != 105 {
+		t.Fatalf("master x = %d after the lost-response merge, want 105", got)
+	}
+	if err := c.Run(workload.Deposit("Tm2", tx.Tentative, "y", 1)); !errors.Is(err, ErrReconnectPending) {
+		t.Errorf("Run during an unfinished reconnect = %v, want ErrReconnectPending", err)
+	}
+	srv.DropEveryNth(0)
+	out, err := c.ConnectMerge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Merged || out.Saved != 1 {
+		t.Errorf("retried outcome = %+v, want the cached 1-saved merge", out)
+	}
+	if got := b.Master().Get("x"); got != 105 {
+		t.Errorf("master x = %d after the retry, want 105 (merged twice)", got)
+	}
+	if n := c.Pending(); n != 0 {
+		t.Errorf("pending after the retry = %d, want 0", n)
+	}
+	// The finished reconnect frees the client for new work.
+	if err := c.Run(workload.Deposit("Tm3", tx.Tentative, "x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ConnectMerge(); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Master().Get("x"); got != 106 {
+		t.Errorf("master x = %d after the next reconnect, want 106", got)
+	}
+}
+
+// checkoutLossTransport loses every checkout response while lose is set —
+// the request reaches the server, the answer never comes back.
+type checkoutLossTransport struct {
+	Transport
+	lose bool
+}
+
+func (l *checkoutLossTransport) Call(ctx context.Context, payload []byte) ([]byte, error) {
+	raw, err := l.Transport.Call(ctx, payload)
+	if err == nil && l.lose && bytes.Contains(payload, []byte(`"kind":"checkout"`)) {
+		return nil, ErrResponseLost
+	}
+	return raw, err
+}
+
+// TestRetryAfterLostRecheckoutNotDoubleApplied: the merge response
+// arrives but every re-checkout after it is lost. Regression: the client
+// kept its tentative history, so the caller's retry merged it again
+// (x=110). Once the merge is answered the history counts as reconciled;
+// the retry only re-checks out and returns the merge's outcome.
+func TestRetryAfterLostRecheckoutNotDoubleApplied(t *testing.T) {
+	b := NewBaseCluster(origin(), Config{})
+	srv := Serve(b)
+	defer srv.Close()
+	tr := &checkoutLossTransport{Transport: srv.Transport()}
+	c, err := DialTransport(context.Background(), "m1", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(workload.Deposit("Tm1", tx.Tentative, "x", 5)); err != nil {
+		t.Fatal(err)
+	}
+	tr.lose = true
+	if _, err := c.ConnectMerge(); !errors.Is(err, ErrResponseLost) {
+		t.Fatalf("ConnectMerge with lost re-checkouts = %v, want ErrResponseLost", err)
+	}
+	if got := b.Master().Get("x"); got != 105 {
+		t.Fatalf("master x = %d after the merge, want 105", got)
+	}
+	if n := c.Pending(); n != 0 {
+		t.Errorf("pending after an answered merge = %d, want 0 (history reconciled)", n)
+	}
+	if err := c.Run(workload.Deposit("Tm2", tx.Tentative, "y", 1)); !errors.Is(err, ErrReconnectPending) {
+		t.Errorf("Run before the re-checkout = %v, want ErrReconnectPending", err)
+	}
+	tr.lose = false
+	out, err := c.ConnectMerge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Merged || out.Saved != 1 {
+		t.Errorf("retried outcome = %+v, want the answered 1-saved merge", out)
+	}
+	if got := b.Master().Get("x"); got != 105 {
+		t.Errorf("master x = %d after the retry, want 105 (merged twice)", got)
+	}
+	if err := c.Run(workload.Deposit("Tm3", tx.Tentative, "y", 1)); err != nil {
+		t.Errorf("Run after the finished reconnect = %v", err)
+	}
+}
+
 // TestStaleSeqRejected is the wire-dedup regression test: the server's
 // exactly-once guard matched only the EXACT last seq, so a delayed
 // duplicate of an OLDER reconnect frame fell through the cache and was
@@ -274,7 +389,7 @@ func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 // -race in scripts/check.sh with concurrent duplicate deliveries.
 func TestStaleSeqRejected(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	ctx := context.Background()
 	c, err := Dial("m1", srv)
@@ -402,7 +517,7 @@ func TestDedupCacheBounded(t *testing.T) {
 // previous instance's higher seq.
 func TestClientRestartNewEpochNotStale(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	first, err := Dial("m1", srv)

@@ -73,7 +73,10 @@ func (t chanTransport) Call(ctx context.Context, payload []byte) ([]byte, error)
 
 func (chanTransport) Close() error { return nil }
 
-// call performs one encode/decode round trip over a transport.
+// call performs one encode/decode round trip over a transport. When the
+// server answers with an error, the decoded response is returned alongside
+// it, so callers can tell an answered request from one whose outcome is
+// unknown (a nil response).
 func call(ctx context.Context, tr Transport, req wireReq) (*wireResp, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
@@ -91,17 +94,23 @@ func call(ctx context.Context, tr Transport, req wireReq) (*wireResp, error) {
 		if resp.Stale {
 			// Typed so clients can tell "this frame was an out-of-order
 			// duplicate" (safe to discard) from a genuine merge failure.
-			return nil, fmt.Errorf("replica: server: %s: %w", resp.Err, ErrStaleSeq)
+			return &resp, fmt.Errorf("replica: server: %s: %w", resp.Err, ErrStaleSeq)
 		}
 		if resp.TooLarge {
 			// Typed so retry loops fail fast: a response over the frame
 			// limit stays over it on every retry.
-			return nil, fmt.Errorf("replica: server: %s: %w", resp.Err, ErrOversized)
+			return &resp, fmt.Errorf("replica: server: %s: %w", resp.Err, ErrOversized)
 		}
-		return nil, fmt.Errorf("replica: server: %s", resp.Err)
+		return &resp, fmt.Errorf("replica: server: %s", resp.Err)
 	}
 	return &resp, nil
 }
+
+// ErrReconnectPending is returned by Client.Run while a reconnect is
+// unfinished: its response was lost, or the re-checkout after it failed.
+// Call ConnectMerge or ConnectReprocess again to finish it; the retry
+// resends the same request, so the server applies it at most once.
+var ErrReconnectPending = errors.New("replica: reconnect pending")
 
 // Client is a mobile node that talks to the base tier only through a
 // Transport: checkout, merge and reprocess all travel as serialized
@@ -111,6 +120,10 @@ type Client struct {
 	node *MobileNode
 	tr   Transport
 	seq  int64
+	// pending is the unfinished reconnect, nil when there is none: a
+	// retry after an error resends its frame under the same seq instead
+	// of shipping the history again under a new one.
+	pending *pendingConnect
 	// epoch identifies this client instance to the server's dedup cache:
 	// seqs are scoped to it, so a restarted client reusing a mobile ID
 	// starts over at seq 1 without tripping the stale-seq guard, while a
@@ -180,39 +193,46 @@ func retryPause(ctx context.Context, attempt int) {
 	}
 }
 
-// checkout refreshes the client's replica over the wire, retrying lost
-// responses (checkouts are read-only, hence idempotent).
-func (c *Client) checkout(ctx context.Context) error {
-	var (
-		resp *wireResp
-		err  error
-	)
+// callRetrying is call resent while it fails with ErrResponseLost, up to
+// the retry budget — for requests that are idempotent or deduplicated by
+// their sequence number.
+func (c *Client) callRetrying(ctx context.Context, req wireReq) (*wireResp, error) {
 	for attempt := 0; ; attempt++ {
-		resp, err = call(ctx, c.tr, wireReq{Kind: reqCheckout, MobileID: c.node.ID})
-		if err == nil {
-			break
-		}
+		resp, err := call(ctx, c.tr, req)
 		if !errors.Is(err, ErrResponseLost) || attempt >= c.retries() {
-			return err
+			return resp, err
 		}
 		retryPause(ctx, attempt)
 	}
-	c.node.ck = Checkout{
+}
+
+// checkout refreshes the client's replica over the wire, retrying lost
+// responses (checkouts are read-only, hence idempotent).
+func (c *Client) checkout(ctx context.Context) error {
+	resp, err := c.callRetrying(ctx, wireReq{Kind: reqCheckout, MobileID: c.node.ID})
+	if err != nil {
+		return err
+	}
+	c.node.resetFrom(Checkout{
 		MobileID: c.node.ID,
 		WindowID: resp.Window,
 		Pos:      resp.Pos,
 		Origin:   model.StateOf(resp.Origin),
-	}
-	c.node.local = c.node.ck.Origin.Clone()
-	c.node.hist = &history.History{}
-	c.node.states = []model.State{c.node.ck.Origin.Clone()}
-	c.node.effects = nil
-	c.node.journal = nil
+	})
 	return nil
 }
 
-// Run executes a tentative transaction locally (no communication).
-func (c *Client) Run(t *tx.Transaction) error { return c.node.Run(t) }
+// Run executes a tentative transaction locally (no communication). It
+// fails with ErrReconnectPending while a reconnect is unfinished: the
+// history it would extend has already been shipped under that
+// reconnect's sequence number.
+func (c *Client) Run(t *tx.Transaction) error {
+	if c.pending != nil {
+		return fmt.Errorf("%w: %s: finish the reconnect before running %s",
+			ErrReconnectPending, c.node.ID, t.ID)
+	}
+	return c.node.Run(t)
+}
 
 // Local returns the client's tentative state.
 func (c *Client) Local() model.State { return c.node.Local() }
@@ -236,41 +256,60 @@ func (c *Client) marshalJournal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// pendingConnect is a reconnect from the moment its request is built until
+// the re-checkout after its response succeeds: the frame, resent verbatim
+// until answered, then the outcome.
+type pendingConnect struct {
+	req wireReq
+	out *ConnectOutcome
+}
+
 // connect performs a reconcile round trip of the given kind, retrying on
 // lost responses (the sequence number makes retries exactly-once), then
-// re-checks out.
+// re-checks out. When a previous reconnect is unfinished it completes that
+// one instead — same frame, same seq, whatever kind was asked for now —
+// and returns its outcome.
 func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, error) {
-	journal, err := c.marshalJournal()
-	if err != nil {
-		return nil, err
-	}
-	c.seq++
-	var resp *wireResp
-	for attempt := 0; ; attempt++ {
-		resp, err = call(ctx, c.tr, wireReq{
-			Kind: kind, MobileID: c.node.ID, Seq: c.seq, Epoch: c.epoch,
-			Journal: journal,
-		})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrResponseLost) || attempt >= c.retries() {
+	if c.pending == nil {
+		journal, err := c.marshalJournal()
+		if err != nil {
 			return nil, err
 		}
-		retryPause(ctx, attempt)
+		c.seq++
+		c.pending = &pendingConnect{req: wireReq{
+			Kind: kind, MobileID: c.node.ID, Seq: c.seq, Epoch: c.epoch,
+			Journal: journal,
+		}}
 	}
-	out := &ConnectOutcome{
-		Merged:      resp.Merged,
-		Fallback:    FallbackReason(resp.Fallback),
-		BadIDs:      resp.BadIDs,
-		Saved:       resp.Saved,
-		Reprocessed: resp.Reproc,
-		Failed:      resp.Failed,
+	p := c.pending
+	if p.out == nil {
+		resp, err := c.callRetrying(ctx, p.req)
+		if err != nil {
+			// A server-reported error means nothing was applied, so the
+			// history stays editable — except an oversized response,
+			// which stands in for an outcome the server already cached.
+			if resp != nil && !resp.TooLarge {
+				c.pending = nil
+			}
+			return nil, err
+		}
+		p.out = &ConnectOutcome{
+			Merged:      resp.Merged,
+			Fallback:    FallbackReason(resp.Fallback),
+			BadIDs:      resp.BadIDs,
+			Saved:       resp.Saved,
+			Reprocessed: resp.Reproc,
+			Failed:      resp.Failed,
+		}
+		// The base tier has reconciled the history: it must never ship
+		// again, even if the re-checkout below fails.
+		c.node.hist, c.node.states, c.node.effects = &history.History{}, c.node.states[:1], nil
 	}
 	if err := c.checkout(ctx); err != nil {
 		return nil, err
 	}
-	return out, nil
+	c.pending = nil
+	return p.out, nil
 }
 
 // ConnectMerge reconciles via the merging protocol over the wire.
@@ -300,19 +339,9 @@ func (c *Client) ConnectReprocessContext(ctx context.Context) (*ConnectOutcome, 
 // (convergence checks for multi-process fleets). Reads are idempotent, so
 // lost responses are retried like checkouts.
 func (c *Client) MasterRemote(ctx context.Context) (model.State, error) {
-	var (
-		resp *wireResp
-		err  error
-	)
-	for attempt := 0; ; attempt++ {
-		resp, err = call(ctx, c.tr, wireReq{Kind: reqMaster})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrResponseLost) || attempt >= c.retries() {
-			return nil, err
-		}
-		retryPause(ctx, attempt)
+	resp, err := c.callRetrying(ctx, wireReq{Kind: reqMaster})
+	if err != nil {
+		return nil, err
 	}
 	return model.StateOf(resp.Master), nil
 }

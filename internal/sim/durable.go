@@ -72,14 +72,14 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 	origin := sweepOrigin(cs)
 	cfg := replica.Config{Weights: cost.DefaultWeights(), Observer: cs.Observer}
 
-	// Reference runs in lockstep: a legacy cluster journaling its full
+	// Reference runs in lockstep: an in-memory cluster journaling its full
 	// history into a buffer (the oracle), and a durable cluster executing
 	// the identical day through the segment log. The durable tail's record
 	// i is the full log's record prefixRecords+i — same operations, same
 	// order — which is exactly the mapping every trial's oracle uses.
-	legacy := replica.NewBaseCluster(origin, cfg)
+	oracle := replica.NewBaseCluster(origin, cfg)
 	var refJournal bytes.Buffer
-	if err := legacy.AttachJournal(&refJournal); err != nil {
+	if err := oracle.AttachJournal(&refJournal); err != nil {
 		return nil, fmt.Errorf("sim: durable crash sweep: %w", err)
 	}
 	refDir := filepath.Join(ds.Dir, "ref")
@@ -91,7 +91,7 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 	var preCkpt, preTail []byte
 	for j, t := range baseTxns {
 		if j == advance1 || j == advance2 {
-			legacy.AdvanceWindow()
+			oracle.AdvanceWindow()
 			durable.AdvanceWindow()
 		}
 		if j == ckptAt {
@@ -105,14 +105,14 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 			}
 			prefixRecords = len(lineBounds(refJournal.Bytes()))
 		}
-		if err := legacy.ExecBase(t); err != nil {
+		if err := oracle.ExecBase(t); err != nil {
 			return nil, fmt.Errorf("sim: durable crash sweep reference: %w", err)
 		}
 		if err := durable.ExecBase(t); err != nil {
 			return nil, fmt.Errorf("sim: durable crash sweep reference: %w", err)
 		}
 	}
-	refMaster := legacy.Master()
+	refMaster := oracle.Master()
 	if !durable.Master().Equal(refMaster) {
 		return nil, fmt.Errorf("sim: durable crash sweep: reference runs diverged: %s != %s", durable.Master(), refMaster)
 	}

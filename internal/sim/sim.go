@@ -9,6 +9,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -432,6 +433,10 @@ func baseTxn(sc Scenario, round, k int) *tx.Transaction {
 	return t
 }
 
+// lostRetries bounds how often the message-passing driver repeats a dial
+// or reconnect that failed with replica.ErrResponseLost.
+const lostRetries = 3
+
 // runMessagePassing drives the fleet through the BaseServer message
 // channel: a pool of ServerWorkers request workers, one goroutine per
 // mobile client, every reconnect a serialized round trip. With WireTCP the
@@ -501,7 +506,11 @@ func runMessagePassing(sc Scenario, cluster *replica.BaseCluster, res *Result) e
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, release, err := dialClient(context.Background(), fmt.Sprintf("m%d", i+1))
+			id := fmt.Sprintf("m%d", i+1)
+			c, release, err := dialClient(context.Background(), id)
+			for try := 0; try < lostRetries && errors.Is(err, replica.ErrResponseLost); try++ {
+				c, release, err = dialClient(context.Background(), id)
+			}
 			if err != nil {
 				record(err)
 				return
@@ -521,11 +530,16 @@ func runMessagePassing(sc Scenario, cluster *replica.BaseCluster, res *Result) e
 					ran++
 					mu.Unlock()
 				}
-				var out *replica.ConnectOutcome
+				reconnect := c.ConnectMerge
 				if sc.Protocol == Reprocessing {
-					out, err = c.ConnectReprocess()
-				} else {
-					out, err = c.ConnectMerge()
+					reconnect = c.ConnectReprocess
+				}
+				// Retry a reconnect whose responses were all lost, as a
+				// real mobile would: the client resends it under its
+				// original seq, so the base tier still applies it once.
+				out, err := reconnect()
+				for try := 0; try < lostRetries && errors.Is(err, replica.ErrResponseLost); try++ {
+					out, err = reconnect()
 				}
 				if err != nil {
 					record(err)

@@ -515,6 +515,10 @@ func TestWireMetrics(t *testing.T) {
 	if snap.Histograms[`tiermerge_wire_request_seconds{endpoint="merge"}`].Count == 0 {
 		t.Error("merge request histogram empty")
 	}
+	// Drain the server before reading its counters: a handler bills a
+	// response's bytes after writing it, so the client can hold the last
+	// response before the counters include it.
+	ws.Close()
 	frames, in, out, _ := ws.Stats()
 	sReqs, sIn, sOut := srv.Stats()
 	if frames != sReqs {

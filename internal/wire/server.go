@@ -247,6 +247,11 @@ func (s *Server) serveConn(c net.Conn, reg *serverMetrics) {
 	br := bufio.NewReader(c)
 	for {
 		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		// A handler that was serving a frame when Close expired the read
+		// deadlines has just re-armed its own: check for shutdown here.
+		if s.isClosed() {
+			return
+		}
 		payload, err := readFrame(br, s.cfg.MaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrBadVersion) {

@@ -84,6 +84,10 @@ fi
 echo "== tests =="
 go test ./...
 
+echo "== e2ebench (separate module: vet + helper tests) =="
+# e2ebench has its own go.mod, so the root ./... patterns skip it.
+(cd e2ebench && go vet ./... && go test ./...)
+
 echo "== race (concurrent merge pipeline + observers + crash-recovery soak) =="
 go test -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...
 

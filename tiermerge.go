@@ -389,8 +389,7 @@ var (
 	// ErrNoCluster: a connect method ran on a recovered node before a
 	// cluster was bound.
 	ErrNoCluster = replica.ErrNoCluster
-	// ErrClusterMismatch: the deprecated one-argument connect form named a
-	// cluster other than the node's own.
+	// ErrClusterMismatch: Bind named a cluster other than the node's own.
 	ErrClusterMismatch = replica.ErrClusterMismatch
 	// ErrServerClosed: a request reached a closed BaseServer.
 	ErrServerClosed = replica.ErrServerClosed
@@ -398,6 +397,9 @@ var (
 	// have been applied; sequence-numbered and idempotent requests retry
 	// on it (errors.Is).
 	ErrResponseLost = replica.ErrResponseLost
+	// ErrReconnectPending: a client ran a transaction while a reconnect was
+	// unfinished; call ConnectMerge or ConnectReprocess again to finish it.
+	ErrReconnectPending = replica.ErrReconnectPending
 )
 
 // Observability (the merge-pipeline instrumentation layer; see
@@ -716,16 +718,6 @@ var (
 	// WithObserver attaches an observer to the server's transport metrics.
 	WithObserver = replica.WithObserver
 )
-
-// ServeBase starts a server over a plain cluster.
-//
-// Deprecated: use Serve(b).
-func ServeBase(b *BaseCluster) *BaseServer { return replica.ServeBase(b) }
-
-// ServeShardedBase starts a server over a sharded base tier.
-//
-// Deprecated: use Serve(s).
-func ServeShardedBase(s *ShardedBase) *BaseServer { return replica.ServeShardedBase(s) }
 
 // DialBase checks a mobile client out from the server over its in-process
 // transport.
