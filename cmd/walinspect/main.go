@@ -72,8 +72,15 @@ func inspect(w io.Writer, r io.Reader, records, code, salvage bool) error {
 		for _, rec := range recs {
 			switch rec.Kind {
 			case "checkout":
-				fmt.Fprintf(w, "%5d  checkout window=%d pos=%d origin(%d items)\n",
-					rec.Seq, rec.WindowID, rec.Pos, len(rec.Origin))
+				origin := fmt.Sprintf("origin(%d items)", len(rec.Origin))
+				if rec.OriginRef != "" {
+					// A reconnect journal in wire form: the origin is a
+					// window origin the base server holds, named by its
+					// content identity. It cannot be replayed on its own.
+					origin = "origin=ref:" + rec.OriginRef
+				}
+				fmt.Fprintf(w, "%5d  checkout window=%d pos=%d %s\n",
+					rec.Seq, rec.WindowID, rec.Pos, origin)
 			case "begin":
 				fmt.Fprintf(w, "%5d  begin    %s (%d bytes of code)\n", rec.Seq, rec.TxID, len(rec.Txn))
 			case "read":

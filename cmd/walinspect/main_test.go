@@ -101,3 +101,18 @@ func TestInspectSalvageDamagedJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestInspectOriginRefJournal: a reconnect journal naming its origin by
+// reference prints the ref and fails verification instead of replaying
+// from an empty origin.
+func TestInspectOriginRefJournal(t *testing.T) {
+	journal := `{"seq":1,"kind":"checkout","window":2,"origin_ref":"ab12"}` + "\n"
+	var out bytes.Buffer
+	err := inspect(&out, strings.NewReader(journal), true, false, false)
+	if err == nil || !strings.Contains(err.Error(), "ab12") {
+		t.Errorf("inspect of an unresolved ref: got %v, want a replay error naming the ref", err)
+	}
+	if want := "checkout window=2 pos=0 origin=ref:ab12"; !strings.Contains(out.String(), want) {
+		t.Errorf("inspect output missing %q:\n%s", want, out.String())
+	}
+}

@@ -7,6 +7,9 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -68,6 +71,22 @@ func (s State) Equal(o State) bool {
 		}
 	}
 	return true
+}
+
+// Digest returns the state's content identity: the hex SHA-256 over its
+// (item, value) pairs in item order. Zero-valued entries are skipped, so
+// two states get the same digest exactly when Equal reports them equal.
+func (s State) Digest() string {
+	var buf []byte
+	for _, it := range s.Items() {
+		if v := s[it]; v != 0 {
+			buf = binary.AppendUvarint(buf, uint64(len(it)))
+			buf = append(buf, it...)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(v))
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // Diff returns the items whose values differ between s and o, with o's

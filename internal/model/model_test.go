@@ -46,6 +46,27 @@ func TestStateEqualTreatsZeroAsAbsent(t *testing.T) {
 	}
 }
 
+func TestStateDigestIdentity(t *testing.T) {
+	a := StateOf(map[Item]Value{"x": 1, "y": 2, "z": 0})
+	b := StateOf(map[Item]Value{"y": 2, "x": 1})
+	if a.Digest() != b.Digest() {
+		t.Error("equal states (up to explicit zeros) have different digests")
+	}
+	b.Set("y", 3)
+	if a.Digest() == b.Digest() {
+		t.Error("different states share a digest")
+	}
+	// Item boundaries are part of the digest: {"ab"=1} is not {"a"=..., "b"=...}.
+	c := StateOf(map[Item]Value{"ab": 1})
+	d := StateOf(map[Item]Value{"a": 0, "b": 1})
+	if c.Digest() == d.Digest() {
+		t.Error("digest ignores item boundaries")
+	}
+	if NewState().Digest() != StateOf(map[Item]Value{"x": 0}).Digest() {
+		t.Error("empty and all-zero states differ")
+	}
+}
+
 func TestStateDiffApplyRoundTrip(t *testing.T) {
 	f := func(ax, ay, bx, bz int8) bool {
 		a := StateOf(map[Item]Value{"x": Value(ax), "y": Value(ay)})

@@ -64,8 +64,13 @@ type BaseCluster struct {
 	master       model.State
 	windowID     int
 	windowOrigin model.State
-	entries      []baseEntry
-	followers    []*follower
+	// originID caches windowOrigin's content identity, stamped on every
+	// Strategy 2 checkout as Checkout.OriginID. Installing a window origin
+	// clears it and the window's first checkout computes it, so recovery
+	// and journal replay never pay for digests no checkout asks for.
+	originID  string
+	entries   []baseEntry
+	followers []*follower
 
 	// structVer is bumped whenever the committed prefix of the current
 	// window changes shape other than by appending — interior inserts
@@ -256,6 +261,7 @@ func (b *BaseCluster) AdvanceWindow() int {
 	b.mu.Lock()
 	b.windowID++
 	b.windowOrigin = b.master.Clone()
+	b.originID = ""
 	b.closeWindowLocked()
 	err := b.logWindow()
 	id := b.windowID
@@ -733,6 +739,11 @@ type Checkout struct {
 	Pos int
 	// Origin is the snapshot the tentative history starts from.
 	Origin model.State
+	// OriginID is Origin's content identity when Origin is a Strategy 2
+	// window origin (model.State.Digest for a plain cluster, a composite
+	// of the shards' ids for a sharded one); empty under Strategy 1. Peers
+	// that both hold the origin exchange the id instead of the snapshot.
+	OriginID string
 	// Shards carries the per-shard checkout tokens when the checkout came
 	// from a sharded base tier (ShardedBase.CheckoutReplica); nil for a
 	// plain cluster checkout. All entries agree on WindowID (the window
@@ -755,6 +766,10 @@ func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
 		ck.Origin = b.master.Clone()
 	} else {
 		ck.Origin = b.windowOrigin.Clone()
+		if b.originID == "" {
+			b.originID = b.windowOrigin.Digest()
+		}
+		ck.OriginID = b.originID
 	}
 	b.counters.Msg(w, int64(len(ck.Origin))*w.UpdateEntryBytes)
 	b.mu.Unlock()

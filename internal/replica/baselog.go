@@ -143,6 +143,7 @@ func (b *BaseCluster) replayRecords(recs []wal.Record) (committed int, open bool
 				return committed, false, fmt.Errorf("replica: recover base: %w: window origin diverges from replayed master",
 					wal.ErrCorrupt)
 			}
+			b.originID = ""
 			// Compact exactly as the live AdvanceWindow did: a full-log
 			// replay must not keep every version of every closed window.
 			b.closeWindowLocked()

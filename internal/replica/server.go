@@ -90,7 +90,11 @@ type wireReq struct {
 	// without tripping the stale-seq guard, while a delayed duplicate —
 	// necessarily a byte-identical frame from the SAME session — still
 	// carries the epoch it was stamped with and is caught.
-	Epoch   string                     `json:"epoch,omitempty"`
+	Epoch string `json:"epoch,omitempty"`
+	// Have is the origin id (Checkout.OriginID) the client already holds.
+	// A checkout whose window origin has that id is answered with Same
+	// instead of the snapshot.
+	Have    string                     `json:"have,omitempty"`
 	Window  int                        `json:"window,omitempty"`
 	Pos     int                        `json:"pos,omitempty"`
 	Origin  map[model.Item]model.Value `json:"origin,omitempty"`
@@ -106,10 +110,20 @@ type wireResp struct {
 	Stale bool `json:"stale,omitempty"`
 	// TooLarge marks an Err caused by a response exceeding the transport
 	// frame limit (ErrOversized) — non-retryable, clients fail fast.
-	TooLarge bool                       `json:"too_large,omitempty"`
-	Window   int                        `json:"window,omitempty"`
-	Pos      int                        `json:"pos,omitempty"`
-	Origin   map[model.Item]model.Value `json:"origin,omitempty"`
+	TooLarge bool `json:"too_large,omitempty"`
+	// NeedOrigin marks an Err caused by a reconnect journal naming an
+	// origin the server does not hold (it restarted, or the window moved
+	// on twice). Nothing was applied; the client resends the reconnect,
+	// same seq, with the origin inline.
+	NeedOrigin bool                       `json:"need_origin,omitempty"`
+	Window     int                        `json:"window,omitempty"`
+	Pos        int                        `json:"pos,omitempty"`
+	Origin     map[model.Item]model.Value `json:"origin,omitempty"`
+	// OriginID is the checkout's Checkout.OriginID; Same reports that it
+	// equals the request's Have, in which case Origin is omitted and the
+	// client keeps the snapshot it holds.
+	OriginID string                     `json:"origin_id,omitempty"`
+	Same     bool                       `json:"same,omitempty"`
 	Merged   bool                       `json:"merged,omitempty"`
 	Fallback string                     `json:"fallback,omitempty"`
 	Saved    int                        `json:"saved,omitempty"`
@@ -171,6 +185,20 @@ type BaseServer struct {
 	// drops, when armed (DropEveryNth), silently discards every nth
 	// mobile-facing response (fault injection for transport tests).
 	drops fault.Schedule
+
+	// origins holds the window origins this server's checkouts handed out
+	// most recently — the current one first, then the previous one — so a
+	// reconnect journal can name its origin by id (wal.Record.OriginRef)
+	// instead of shipping it. Each is the clone CheckoutReplica made, never
+	// mutated afterwards. Guarded by originsMu.
+	originsMu sync.Mutex
+	origins   [2]heldOrigin
+}
+
+// heldOrigin is one window origin handed out by a checkout, with its id.
+type heldOrigin struct {
+	id    string
+	state model.State
 }
 
 // appliedReq caches one handled reconnect. tick is the entry's last-use
@@ -343,7 +371,14 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 	switch req.Kind {
 	case reqCheckout:
 		ck := s.tier.CheckoutReplica(req.MobileID)
-		return mustResp(wireResp{Window: ck.WindowID, Pos: ck.Pos, Origin: ck.Origin}), req.Kind, true
+		s.holdOrigin(ck)
+		resp := wireResp{Window: ck.WindowID, Pos: ck.Pos, OriginID: ck.OriginID}
+		if ck.OriginID != "" && ck.OriginID == req.Have {
+			resp.Same = true
+		} else {
+			resp.Origin = ck.Origin
+		}
+		return mustResp(resp), req.Kind, true
 	case reqMaster:
 		return mustResp(wireResp{Master: s.tier.Master()}), req.Kind, false
 	case reqExecBase:
@@ -378,6 +413,20 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 		recs, err := wal.ReadAll(bytes.NewReader(req.Journal))
 		if err != nil {
 			return mustResp(wireResp{Err: err.Error()}), req.Kind, true
+		}
+		if len(recs) > 0 && recs[0].OriginRef != "" {
+			// The journal names its origin by id. An id this server no
+			// longer holds is answered in-band and left out of the dedup
+			// cache: nothing was applied, and the client's resend under
+			// the same seq must merge.
+			origin, ok := s.heldOriginOf(recs[0].OriginRef)
+			if !ok {
+				return mustResp(wireResp{
+					Err:        fmt.Sprintf("origin %s not held; resend the journal with its origin", recs[0].OriginRef),
+					NeedOrigin: true,
+				}), req.Kind, true
+			}
+			recs[0].Origin = origin
 		}
 		rep, err := wal.Replay(recs)
 		if err != nil {
@@ -414,6 +463,39 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 	default:
 		return mustResp(wireResp{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}), req.Kind, false
 	}
+}
+
+// holdOrigin remembers the window origin a checkout handed out, keeping
+// at most the current and the previous id: one window advance leaves the
+// journals of the closed window resolvable (their merges then fall back
+// to reprocessing), and memory stays at two origins however many windows
+// pass. Strategy 1 checkouts carry no id and are not held.
+func (s *BaseServer) holdOrigin(ck Checkout) {
+	if ck.OriginID == "" {
+		return
+	}
+	s.originsMu.Lock()
+	defer s.originsMu.Unlock()
+	switch ck.OriginID {
+	case s.origins[0].id:
+	case s.origins[1].id:
+		s.origins[0], s.origins[1] = s.origins[1], s.origins[0]
+	default:
+		s.origins[1] = s.origins[0]
+		s.origins[0] = heldOrigin{id: ck.OriginID, state: ck.Origin}
+	}
+}
+
+// heldOriginOf resolves an origin id against the held origins.
+func (s *BaseServer) heldOriginOf(id string) (model.State, bool) {
+	s.originsMu.Lock()
+	defer s.originsMu.Unlock()
+	for _, h := range s.origins {
+		if h.id == id {
+			return h.state, true
+		}
+	}
+	return nil, false
 }
 
 // lookupApplied returns the cached reconnect state for a mobile,

@@ -247,7 +247,7 @@ func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 	if err := c.Run(workload.Deposit("T1", tx.Tentative, "acct", 5)); err != nil {
 		t.Fatal(err)
 	}
-	journal, err := c.marshalJournal()
+	journal, err := c.marshalJournal(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestStaleSeqRejected(t *testing.T) {
 	if err := c.Run(workload.Deposit("T1", tx.Tentative, "acct", 5)); err != nil {
 		t.Fatal(err)
 	}
-	journal1, err := c.marshalJournal()
+	journal1, err := c.marshalJournal(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestStaleSeqRejected(t *testing.T) {
 	if err := c.Run(workload.Deposit("T2", tx.Tentative, "acct", 7)); err != nil {
 		t.Fatal(err)
 	}
-	journal2, err := c.marshalJournal()
+	journal2, err := c.marshalJournal(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestDedupCacheBounded(t *testing.T) {
 		if err := c.Run(workload.Deposit("T-"+id, tx.Tentative, "acct", 1)); err != nil {
 			t.Fatal(err)
 		}
-		journal, err := c.marshalJournal()
+		journal, err := c.marshalJournal(true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -392,9 +394,25 @@ func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
 			MobileID: mobileID,
 			WindowID: parts[0].WindowID,
 			Origin:   origin,
+			OriginID: composeOriginID(parts),
 			Shards:   parts,
 		}
 	}
+}
+
+// composeOriginID derives a sharded checkout's origin identity from its
+// shards' ids in shard order, so it changes exactly when some shard's
+// window origin does. It is empty when any shard has none (Strategy 1).
+func composeOriginID(parts []Checkout) string {
+	h := sha256.New()
+	for _, p := range parts {
+		if p.OriginID == "" {
+			return ""
+		}
+		h.Write([]byte(p.OriginID))
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // footprintOf is the union of Hm's actual read and write sets — the same
@@ -661,12 +679,13 @@ func (s *ShardedBase) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome
 }
 
 // wireTokens synthesizes the per-shard tokens of a checkout that crossed
-// the wire (the reconnect journal carries only the combined token): the
-// origin is partitioned by the router, window and position are copied.
-// Under Strategy 1 the copied position is validated per shard and a stale
-// one degrades that merge to reprocessing — correct, if conservative;
-// sharded Strategy 1 workloads should reconnect through the in-process
-// API, which keeps the real tokens.
+// the wire (the reconnect journal carries only the combined token): window
+// and position are copied, and under Strategy 1 — the only strategy that
+// reads a shard token's origin — the origin is partitioned by the router.
+// The copied position is validated per shard and a stale one degrades that
+// merge to reprocessing — correct, if conservative; sharded Strategy 1
+// workloads should reconnect through the in-process API, which keeps the
+// real tokens.
 func (s *ShardedBase) wireTokens(ck Checkout) Checkout {
 	parts := make([]Checkout, len(s.shards))
 	for k := range parts {
@@ -674,11 +693,15 @@ func (s *ShardedBase) wireTokens(ck Checkout) Checkout {
 			MobileID: ck.MobileID,
 			WindowID: ck.WindowID,
 			Pos:      ck.Pos,
-			Origin:   model.NewState(),
 		}
 	}
-	for it, v := range ck.Origin {
-		parts[s.router.Shard(it)].Origin.Set(it, v)
+	if s.cfg.Origin == Strategy1 {
+		for k := range parts {
+			parts[k].Origin = model.NewState()
+		}
+		for it, v := range ck.Origin {
+			parts[s.router.Shard(it)].Origin.Set(it, v)
+		}
 	}
 	ck.Shards = parts
 	return ck

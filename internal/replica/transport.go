@@ -208,16 +208,26 @@ func (c *Client) callRetrying(ctx context.Context, req wireReq) (*wireResp, erro
 
 // checkout refreshes the client's replica over the wire, retrying lost
 // responses (checkouts are read-only, hence idempotent).
+//
+// The request names the origin the client holds; when the server's window
+// origin is the same one, the response omits the snapshot and the client
+// keeps its own.
 func (c *Client) checkout(ctx context.Context) error {
-	resp, err := c.callRetrying(ctx, wireReq{Kind: reqCheckout, MobileID: c.node.ID})
+	held := c.node.ck
+	resp, err := c.callRetrying(ctx, wireReq{Kind: reqCheckout, MobileID: c.node.ID, Have: held.OriginID})
 	if err != nil {
 		return err
+	}
+	origin := model.State(resp.Origin)
+	if resp.Same && held.OriginID != "" && resp.OriginID == held.OriginID {
+		origin = held.Origin
 	}
 	c.node.resetFrom(Checkout{
 		MobileID: c.node.ID,
 		WindowID: resp.Window,
 		Pos:      resp.Pos,
-		Origin:   model.StateOf(resp.Origin),
+		Origin:   origin,
+		OriginID: resp.OriginID,
 	})
 	return nil
 }
@@ -241,11 +251,20 @@ func (c *Client) Local() model.State { return c.node.Local() }
 func (c *Client) Pending() int { return c.node.Pending() }
 
 // marshalJournal serializes the node's whole period as wal records — the
-// payload a reconnect ships.
-func (c *Client) marshalJournal() ([]byte, error) {
+// payload a reconnect ships. byRef names a Strategy 2 window origin by its
+// id instead of carrying it; a checkout without an id always ships the
+// origin inline.
+func (c *Client) marshalJournal(byRef bool) ([]byte, error) {
 	var buf bytes.Buffer
 	w := wal.NewWriter(&buf)
-	if err := w.Checkout(c.node.ck.WindowID, c.node.ck.Pos, c.node.ck.Origin); err != nil {
+	ck := c.node.ck
+	var err error
+	if byRef && ck.OriginID != "" {
+		err = w.CheckoutRef(ck.WindowID, ck.Pos, ck.OriginID)
+	} else {
+		err = w.Checkout(ck.WindowID, ck.Pos, ck.Origin)
+	}
+	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < c.node.hist.Len(); i++ {
@@ -258,10 +277,13 @@ func (c *Client) marshalJournal() ([]byte, error) {
 
 // pendingConnect is a reconnect from the moment its request is built until
 // the re-checkout after its response succeeds: the frame, resent verbatim
-// until answered, then the outcome.
+// until answered, then the outcome. byRef reports that the frame's journal
+// names its origin by id; once the server asks for the origin, the frame
+// carries it inline for every later retry.
 type pendingConnect struct {
-	req wireReq
-	out *ConnectOutcome
+	req   wireReq
+	byRef bool
+	out   *ConnectOutcome
 }
 
 // connect performs a reconcile round trip of the given kind, retrying on
@@ -271,7 +293,7 @@ type pendingConnect struct {
 // and returns its outcome.
 func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, error) {
 	if c.pending == nil {
-		journal, err := c.marshalJournal()
+		journal, err := c.marshalJournal(true)
 		if err != nil {
 			return nil, err
 		}
@@ -279,11 +301,21 @@ func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, er
 		c.pending = &pendingConnect{req: wireReq{
 			Kind: kind, MobileID: c.node.ID, Seq: c.seq, Epoch: c.epoch,
 			Journal: journal,
-		}}
+		}, byRef: c.node.ck.OriginID != ""}
 	}
 	p := c.pending
 	if p.out == nil {
 		resp, err := c.callRetrying(ctx, p.req)
+		if err != nil && resp != nil && resp.NeedOrigin && p.byRef {
+			// The server no longer holds the origin the journal names:
+			// resend the same reconnect under the same seq, origin inline.
+			journal, jerr := c.marshalJournal(false)
+			if jerr != nil {
+				return nil, jerr
+			}
+			p.req.Journal, p.byRef = journal, false
+			resp, err = c.callRetrying(ctx, p.req)
+		}
 		if err != nil {
 			// A server-reported error means nothing was applied, so the
 			// history stays editable — except an oversized response,

@@ -96,6 +96,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(valid[:len(valid)-1])
 	f.Add([]byte(`{"seq":1,"kind":"checkout","window":1,"origin":{"x":5}}` + "\n"))
 	f.Add([]byte(`{"seq":1,"kind":"commit","tx":"T1"}` + "\n"))
+	f.Add([]byte(`{"seq":1,"kind":"checkout","window":1,"origin_ref":"ab12"}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Scan(bytes.NewReader(data), Salvage)
 		if err != nil {
@@ -107,6 +108,9 @@ func FuzzReplay(f *testing.F) {
 				t.Fatalf("replay failed without ErrCorrupt: %v", err)
 			}
 			return
+		}
+		if r := res.Records[0]; r.OriginRef != "" && r.Origin == nil {
+			t.Fatalf("replayed an unresolved origin ref %q", r.OriginRef)
 		}
 		n := rep.Augmented.H.Len()
 		if len(rep.Augmented.States) != n+1 || len(rep.Augmented.Effects) != n {

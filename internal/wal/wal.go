@@ -75,6 +75,12 @@ type Record struct {
 	WindowID int                        `json:"window,omitempty"`
 	Pos      int                        `json:"pos,omitempty"`
 	Origin   map[model.Item]model.Value `json:"origin,omitempty"`
+	// OriginRef names the origin by its content identity
+	// (model.State.Digest) instead of carrying it: a mobile reconnecting
+	// in a Strategy 2 window ships the ref of a window origin the base
+	// server handed out. The receiver resolves the ref into Origin before
+	// Replay; an unresolved ref is corruption, never an empty origin.
+	OriginRef string `json:"origin_ref,omitempty"`
 }
 
 // Syncer is the stable-media seam: a journal sink that can force buffered
@@ -136,6 +142,19 @@ func (lw *Writer) Checkout(windowID, pos int, origin model.State) error {
 		WindowID: windowID,
 		Pos:      pos,
 		Origin:   origin.Clone(),
+	})
+}
+
+// CheckoutRef logs the replica origin by reference: ref is the origin's
+// content identity, which the reader must resolve (set Record.Origin)
+// before Replay. Only the wire form of a reconnect journal uses it; durable
+// journals always carry the full origin.
+func (lw *Writer) CheckoutRef(windowID, pos int, ref string) error {
+	return lw.append(Record{
+		Kind:      KindCheckout,
+		WindowID:  windowID,
+		Pos:       pos,
+		OriginRef: ref,
 	})
 }
 
@@ -328,10 +347,15 @@ type Replayed struct {
 // the checkout origin and every committed transaction's code, re-executes
 // the history serially and cross-checks each transaction's logged read
 // values and write images against the replayed effects. A mismatch means
-// the log and the code disagree — the log is corrupt.
+// the log and the code disagree — the log is corrupt. A checkout record
+// that names its origin by reference (OriginRef) must have been resolved
+// into Origin by the caller; an unresolved one is ErrCorrupt.
 func Replay(records []Record) (*Replayed, error) {
 	if len(records) == 0 || records[0].Kind != KindCheckout {
 		return nil, fmt.Errorf("%w: journal must start with a checkout record", ErrCorrupt)
+	}
+	if records[0].OriginRef != "" && records[0].Origin == nil {
+		return nil, fmt.Errorf("%w: checkout origin ref %s was never resolved", ErrCorrupt, records[0].OriginRef)
 	}
 	rep := &Replayed{
 		WindowID: records[0].WindowID,

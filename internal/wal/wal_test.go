@@ -235,6 +235,50 @@ func TestReplayRejectsMalformedJournals(t *testing.T) {
 	})
 }
 
+// TestReplayOriginRef: a checkout record naming its origin by reference
+// replays exactly like the full journal once the caller resolves the ref,
+// and is ErrCorrupt while unresolved — even with no transactions, whose
+// replay from an empty state would otherwise succeed vacuously.
+func TestReplayOriginRef(t *testing.T) {
+	var full bytes.Buffer
+	origin, want := journalHistory(t, &full, 61, 4)
+	raw := append([]byte(nil), full.Bytes()...)
+	recs, err := ReadAll(&full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	w := NewWriter(&ref)
+	if err := w.CheckoutRef(3, 7, origin.Digest()); err != nil {
+		t.Fatal(err)
+	}
+	ref.Write(raw[bytes.IndexByte(raw, '\n')+1:])
+	byRef, err := ReadAll(&ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byRef[0].Origin != nil || byRef[0].OriginRef != origin.Digest() {
+		t.Fatalf("checkout record by ref = %+v", byRef[0])
+	}
+	for _, n := range []int{1, len(byRef)} {
+		if _, err := Replay(byRef[:n]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("unresolved ref, %d records: got %v, want ErrCorrupt", n, err)
+		}
+	}
+	byRef[0].Origin = origin
+	rep, err := Replay(byRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Augmented.H.Len() != want.H.Len() || !rep.Augmented.Final().Equal(want.Final()) {
+		t.Errorf("resolved ref replayed %d txns to %s, want %d to %s",
+			rep.Augmented.H.Len(), rep.Augmented.Final(), want.H.Len(), want.Final())
+	}
+	if len(recs) != len(byRef) {
+		t.Errorf("by-ref journal has %d records, full %d", len(byRef), len(recs))
+	}
+}
+
 // TestReplayAtEveryCrashPoint cuts a journal at every byte offset and
 // requires recovery to either replay a committed prefix or fail with a
 // clean ErrCorrupt — never panic, never fabricate transactions, and never

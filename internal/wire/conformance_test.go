@@ -232,22 +232,6 @@ func TestConformanceDropRetryParity(t *testing.T) {
 	}
 }
 
-// captureTransport records every payload it forwards.
-type captureTransport struct {
-	inner    replica.Transport
-	mu       sync.Mutex
-	payloads [][]byte
-}
-
-func (ct *captureTransport) Call(ctx context.Context, payload []byte) ([]byte, error) {
-	ct.mu.Lock()
-	ct.payloads = append(ct.payloads, append([]byte(nil), payload...))
-	ct.mu.Unlock()
-	return ct.inner.Call(ctx, payload)
-}
-
-func (ct *captureTransport) Close() error { return ct.inner.Close() }
-
 // TestConformanceExactlyOnceDuplicatedFrames replays a captured merge
 // payload — through Call on both transports, and additionally byte-for-byte
 // over a raw TCP connection — and requires the duplicate to hit the dedup
@@ -257,7 +241,7 @@ func TestConformanceExactlyOnceDuplicatedFrames(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			defer e.close()
 			ctx := context.Background()
-			ct := &captureTransport{inner: e.dial()}
+			ct := &tapTransport{inner: e.dial()}
 			c, err := replica.DialTransport(ctx, "m1", ct)
 			if err != nil {
 				t.Fatal(err)
@@ -268,18 +252,12 @@ func TestConformanceExactlyOnceDuplicatedFrames(t *testing.T) {
 			if _, err := c.ConnectMergeContext(ctx); err != nil {
 				t.Fatal(err)
 			}
-			// payloads: [checkout, merge, checkout]; replay the merge.
-			ct.mu.Lock()
-			var mergeFrame []byte
-			for _, p := range ct.payloads {
-				if strings.Contains(string(p), `"kind":"merge"`) {
-					mergeFrame = p
-				}
+			// calls: [checkout, merge, checkout]; replay the merge.
+			merges := callsOf(t, ct.take(), "merge")
+			if len(merges) != 1 {
+				t.Fatalf("captured %d merge payloads, want 1", len(merges))
 			}
-			ct.mu.Unlock()
-			if mergeFrame == nil {
-				t.Fatal("no merge payload captured")
-			}
+			mergeFrame := merges[0].req
 			dup, err := ct.inner.Call(ctx, mergeFrame)
 			if err != nil {
 				t.Fatal(err)
@@ -305,7 +283,7 @@ func TestConformanceExactlyOnceDuplicatedFrames(t *testing.T) {
 	e := pair[1]
 	defer e.close()
 	ctx := context.Background()
-	ct := &captureTransport{inner: e.dial()}
+	ct := &tapTransport{inner: e.dial()}
 	c, err := replica.DialTransport(ctx, "m1", ct)
 	if err != nil {
 		t.Fatal(err)
@@ -316,14 +294,11 @@ func TestConformanceExactlyOnceDuplicatedFrames(t *testing.T) {
 	if _, err := c.ConnectMergeContext(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ct.mu.Lock()
-	var mergeFrame []byte
-	for _, p := range ct.payloads {
-		if strings.Contains(string(p), `"kind":"merge"`) {
-			mergeFrame = p
-		}
+	merges := callsOf(t, ct.take(), "merge")
+	if len(merges) != 1 {
+		t.Fatalf("captured %d merge payloads, want 1", len(merges))
 	}
-	ct.mu.Unlock()
+	mergeFrame := merges[0].req
 	addr := ct.inner.(*Transport).addr
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -95,8 +95,11 @@ echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) ==
 # Explicit gate for the transport seam: the conformance suite must produce
 # identical outcomes over the in-process channel transport and real
 # loopback TCP — round trips, drop-retry parity, exactly-once under
-# duplicated frames, mid-flight server close, and oversized-frame
-# rejection — all under the race detector.
+# duplicated frames, mid-flight server close, oversized-frame rejection,
+# and the by-reference window origin (TestConformanceOriginByReference,
+# TestConformanceOriginRefWindowAdvance,
+# TestConformanceOriginRefServerRestart,
+# TestConformanceStrategy1IssuesNoOriginID) — all under the race detector.
 go test -race -count=1 ./internal/wire/
 
 echo "== race (incremental re-prepare parity + batched admission) =="
@@ -134,6 +137,15 @@ run_logged trace-smoke go run ./cmd/tiermerge trace -mobiles 2 -rounds 2 -txns 3
 
 echo "== multi-process wire smoke (tiermerge serve + client over loopback TCP) =="
 run_logged wire-smoke bash scripts/e2e_wire.sh
+
+echo "== end-to-end benchmark smoke (correctness checks) =="
+# One-second traced runs of the reconnect benchmark (BENCHMARK.json). A
+# run exits non-zero when any of its checks fails: deposits conserved in
+# the master, the master unchanged across a reopen of the durable tier,
+# and saved + reprocessed + failed = shipped on every reconnect.
+for w in checkout-large long-disconnect; do
+    run_logged "e2ebench-$w" bash e2ebench/run.sh --workload "$w" --seconds 1 --trace 1
+done
 
 echo "== benchmark smoke =="
 run_logged bench-smoke go test -run XXX -bench . -benchtime 1x ./...
