@@ -53,10 +53,11 @@ func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 
 // TestInferenceCoversRemovedAnnotation pins the tentpole property: the
 // locks(...)/blocking annotations are no longer the only source of truth.
-// A shadow copy of internal/replica with admitPrepared's annotations
+// A shadow copy of internal/replica with admitDirect's annotation
 // stripped, plus a seeded caller that invokes it under the cluster mutex,
 // must still be reported — the summary engine infers both the blocking
-// receive and the mutex re-acquisition with no annotation on the chain.
+// item-lock acquisition and the mutex re-acquisition with no annotation on
+// the chain.
 func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module from source")
@@ -83,11 +84,11 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "admission.go" {
-			const annotated = "//tiermerge:locks(none)\n//tiermerge:blocking\nfunc (b *BaseCluster) admitPrepared("
-			const bare = "func (b *BaseCluster) admitPrepared("
+		if name == "pipeline.go" {
+			const annotated = "//tiermerge:locks(none)\nfunc (b *BaseCluster) admitDirect("
+			const bare = "func (b *BaseCluster) admitDirect("
 			if !strings.Contains(string(data), annotated) {
-				t.Fatalf("admission.go no longer carries the expected annotations on admitPrepared")
+				t.Fatalf("pipeline.go no longer carries the expected annotation on admitDirect")
 			}
 			data = []byte(strings.Replace(string(data), annotated, bare, 1))
 			stripped = true
@@ -97,17 +98,17 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 		}
 	}
 	if !stripped {
-		t.Fatal("did not strip the admitPrepared annotations")
+		t.Fatal("did not strip the admitDirect annotation")
 	}
 	probe := `package replica
 
 import "tiermerge/internal/history"
 
 // lintProbeBadCall admits while holding the cluster mutex — the violation
-// the stripped annotations used to be the only defense against.
+// the stripped annotation used to be the only defense against.
 func lintProbeBadCall(b *BaseCluster, ck Checkout, hm *history.Augmented, p *preparedMerge) {
 	b.mu.Lock()
-	b.admitPrepared(ck, hm, p)
+	b.admitDirect(ck, hm, p)
 	b.mu.Unlock()
 }
 `

@@ -123,9 +123,6 @@ type Counts struct {
 	// MergeRetries counts re-prepare attempts after a failed admission
 	// validation (incremental graph extensions and full re-prepares alike).
 	MergeRetries int64
-	// AdmitBatches counts batched-admission critical sections; dividing
-	// MergesPerformed by it gives the mean admission batch size.
-	AdmitBatches int64
 	// CrossShardMerges counts merges whose footprint spanned more than one
 	// shard of a sharded base tier and therefore ran the two-phase
 	// cross-shard admit instead of a single shard's pipeline. Always zero
@@ -181,7 +178,6 @@ func (c *Counts) Add(o Counts) {
 	c.MergesPerformed += o.MergesPerformed
 	c.MergeFallbacks += o.MergeFallbacks
 	c.MergeRetries += o.MergeRetries
-	c.AdmitBatches += o.AdmitBatches
 	c.CrossShardMerges += o.CrossShardMerges
 	c.DeltaFolded += o.DeltaFolded
 	c.EdgesElided += o.EdgesElided

@@ -108,34 +108,11 @@ type BaseCluster struct {
 	// carries the same sequence number so tracers can group them.
 	mergeSeq atomic.Int64
 
-	// Batched-admission queue (see admission.go). admitMu guards only the
-	// queue and the leader flag — never held across lock acquisition, the
-	// cluster mutex, or channel operations.
-	admitMu     sync.Mutex
-	admitQ      []*admitRequest
-	admitActive bool
-
 	// hookAfterPrepare, when non-nil, runs between a merge attempt's
 	// prepare and admit phases. Tests use it to commit base transactions at
 	// exactly that point, forcing admission-validation failures (and hence
 	// retry attempts) deterministically.
 	hookAfterPrepare func(attempt int)
-	// admitGate, when non-nil, is consulted by the admission leader with
-	// the current queue depth before it drains; the leader yields and
-	// re-asks until the gate opens. See SetAdmitGate.
-	admitGate func(queued int) bool
-}
-
-// SetAdmitGate installs a gate the admission leader consults with the
-// current queue depth before draining, yielding the processor until the
-// gate reports true. Tests, experiments and benchmarks use it to form
-// deterministic admission batches (e.g. "wait until the whole fleet has
-// enqueued") regardless of GOMAXPROCS; production configurations leave it
-// unset. Install it before any reconnect starts — the field is read without
-// synchronization. A gate that never opens for a depth that stops growing
-// deadlocks admission; gates must eventually return true.
-func (b *BaseCluster) SetAdmitGate(fn func(queued int) bool) {
-	b.admitGate = fn
 }
 
 // emit delivers one event to the configured observer. It must never be

@@ -186,10 +186,9 @@ func TestConcurrentMergeLowConflictNoFallbacks(t *testing.T) {
 // of the base prefix each merge observed, which legitimately depends on
 // admission interleaving (a concurrently prepared merge can validate
 // against a shorter prefix than any serial schedule would give it).
-// MergeRetries and AdmitBatches are excluded for the same reason: they
-// describe the shape of the pipeline run (how many re-prepares the
-// interleaving forced, how the admissions happened to batch), not work
-// the serial baseline performs at all.
+// MergeRetries is excluded for the same reason: it describes the shape of
+// the pipeline run (how many re-prepares the interleaving forced), not
+// work the serial baseline performs at all.
 func TestConcurrentMergeCountersMatchSerial(t *testing.T) {
 	const n = 4
 	run := func(attempts int, concurrent bool) cost.Counts {
@@ -210,7 +209,6 @@ func TestConcurrentMergeCountersMatchSerial(t *testing.T) {
 	serial.BaseGraphOps, conc.BaseGraphOps = 0, 0
 	serial.BaseBackoutOps, conc.BaseBackoutOps = 0, 0
 	serial.MergeRetries, conc.MergeRetries = 0, 0
-	serial.AdmitBatches, conc.AdmitBatches = 0, 0
 	if serial != conc {
 		t.Errorf("counter totals diverged:\nserial    %+v\nconcurrent %+v", serial, conc)
 	}

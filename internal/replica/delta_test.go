@@ -41,7 +41,7 @@ func counterFleet(t *testing.T, n int, opts merge.Options) (*BaseCluster, []*Mob
 }
 
 // TestDeltaMergeMatchesValueWrites: a contended counter fleet reconnecting
-// concurrently (batched admission) must land on the identical master with
+// concurrently must land on the identical master with
 // and without delta semantics. The delta arm saves every increment with no
 // back-outs and elides the delta-delta conflict edges; the value arm pays
 // for the same outcome with reprocessing.

@@ -39,22 +39,15 @@ import (
 // concurrent base transactions under the same strict-2PL discipline
 // ExecBase uses.
 //
-// Two amortizations keep retries and contention cheap at scale:
-//
-//   - Incremental re-prepare: a retry carries the previous attempt's
-//     preparedMerge. Base transactions are durable and only append to the
-//     history between structural changes, so the precedence graph is
-//     monotone in the base suffix: prepareMerge extends the prior graph
-//     with just the entries in [prevSnap.histLen, snap.histLen) instead of
-//     rebuilding it, and reruns back-out/rewrite only when the extension
-//     adds an edge incident to Hm (merge.Extend). The mobile's upload (set
-//     entries, local graph edges) is billed once per reconnect, never on a
-//     retry.
-//
-//   - Batched admission: prepared merges funnel through an admission queue
-//     (admission.go); one leader drains it, admitting every queued merge
-//     with a pairwise-disjoint footprint in a single critical section, so
-//     N reconnecting mobiles pay ~1 critical section instead of N.
+// Incremental re-prepare keeps retries cheap at scale: a retry carries the
+// previous attempt's preparedMerge. Base transactions are durable and only
+// append to the history between structural changes, so the precedence
+// graph is monotone in the base suffix: prepareMerge extends the prior
+// graph with just the entries in [prevSnap.histLen, snap.histLen) instead
+// of rebuilding it, and reruns back-out/rewrite only when the extension
+// adds an edge incident to Hm (merge.Extend). The mobile's upload (set
+// entries, local graph edges) is billed once per reconnect, never on a
+// retry.
 
 // defaultMergeAttempts is the optimistic prepare/admit attempt budget when
 // Config.MergeAttempts is zero.
@@ -196,18 +189,14 @@ func (b *BaseCluster) mergePipelined(ck Checkout, hm *history.Augmented) (*Conne
 			h(attempt)
 		}
 		admitStart := b.spanStart()
-		out, admitted, cause, batch, err := b.admitPrepared(ck, hm, p)
+		out, admitted, cause, err := b.admitDirect(ck, hm, p)
 		if err != nil {
 			return finish(nil, err)
 		}
-		ev := obs.Event{
+		b.emit(obs.Event{
 			Mobile: ck.MobileID, Seq: seq,
 			Phase: obs.PhaseAdmit, Attempt: attempt, Dur: sinceSpan(admitStart), Cause: cause,
-		}
-		if admitted && cause == obs.CauseNone {
-			ev.Batch = batch
-		}
-		b.emit(ev)
+		})
 		if admitted {
 			return finish(out, nil)
 		}
@@ -574,7 +563,7 @@ func (p *preparedMerge) lockPlan(mobileID string) (owner string, items []model.I
 	return owner, all.Items(), writes
 }
 
-// admitDirect is the unbatched admission critical section: acquire the
+// admitDirect is the admission critical section: acquire the
 // merge's lock footprint, revalidate the snapshot, and install. It returns
 // admitted=false when validation failed and the caller should re-prepare;
 // cause classifies the retry (struct-changed, extension-conflict) or the

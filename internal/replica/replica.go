@@ -93,14 +93,6 @@ type Config struct {
 	// stable shard index in [0, shards). Values outside that range are
 	// reduced modulo the shard count. NewBaseCluster ignores it.
 	ShardFn func(model.Item) int
-	// SerialAdmission disables batched admission: each prepared merge
-	// validates and installs in its own admission critical section instead
-	// of joining the admission queue, where one leader admits every queued
-	// merge with a pairwise-disjoint footprint in a single critical section.
-	// The default (false, batched) is strictly more concurrent; the serial
-	// mode exists as the benchmark baseline (BenchmarkE15IncrementalRetry)
-	// and as a diagnostic switch.
-	SerialAdmission bool
 	// Observer receives a span event for every phase of every reconnect —
 	// checkout, disconnect-run, snapshot, the prepare sub-phases (graph
 	// build, back-out, rewrite, prune), each validate-and-admit attempt

@@ -22,12 +22,12 @@ import (
 )
 
 // Sharded base tier. A single BaseCluster funnels every merge through one
-// cluster mutex and one admission queue — the scalability ceiling E13/E15
-// measure. ShardedBase partitions the item space across N BaseCluster
-// shards, each with its own mutex, window clock, base history, WAL
-// journal, admission queue and cost counters. A merge whose footprint
-// lives in one partition runs entirely on that shard — prepare, extend,
-// batched admission — with zero cross-shard coordination, so disjoint
+// cluster mutex — the scalability ceiling E13/E15 measure. ShardedBase
+// partitions the item space across N BaseCluster shards, each with its own
+// mutex, window clock, base history, WAL journal and cost counters. A
+// merge whose footprint lives in one partition runs entirely on that
+// shard — prepare, extend, admission — with zero cross-shard
+// coordination, so disjoint
 // merges on different shards share nothing at all. The rare cross-shard
 // merge runs a two-phase admit (DESIGN.md §11):
 //

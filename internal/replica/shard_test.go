@@ -191,27 +191,34 @@ func TestShardedConcurrentMatchesSomeSerialOrder(t *testing.T) {
 	}
 }
 
-// TestShardedCountersMatchSerialAdmission: on the disjoint fleet the
-// batched per-shard admission queues must charge exactly what
-// Config.SerialAdmission charges. The exclusions follow the E13/E15
-// convention: BaseGraphOps/BaseBackoutOps scale with the observed base
-// prefix and MergeRetries/AdmitBatches describe the pipeline's shape,
+// TestShardedCountersMatchSerialPipeline: on the disjoint fleet the
+// concurrent per-shard pipelines must charge exactly what the serial path
+// (MergeAttempts -1, reconnects in order) charges. The exclusions follow
+// the E13/E15 convention: BaseGraphOps/BaseBackoutOps scale with the
+// observed base prefix and MergeRetries describes the pipeline's shape,
 // not work the serial baseline performs.
-func TestShardedCountersMatchSerialAdmission(t *testing.T) {
+func TestShardedCountersMatchSerialPipeline(t *testing.T) {
 	const n, shards = 8, 4
-	run := func(serial bool) cost.Counts {
-		s, ms := shardedDisjointFleet(t, shards, n, Config{SerialAdmission: serial})
-		connectAllSharded(t, ms)
+	run := func(attempts int, concurrent bool) cost.Counts {
+		s, ms := shardedDisjointFleet(t, shards, n, Config{MergeAttempts: attempts})
+		if concurrent {
+			connectAllSharded(t, ms)
+		} else {
+			for _, m := range ms {
+				if _, err := m.ConnectMerge(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		return s.Counters()
 	}
-	ser := run(true)
-	bat := run(false)
-	ser.BaseGraphOps, bat.BaseGraphOps = 0, 0
-	ser.BaseBackoutOps, bat.BaseBackoutOps = 0, 0
-	ser.MergeRetries, bat.MergeRetries = 0, 0
-	ser.AdmitBatches, bat.AdmitBatches = 0, 0
-	if ser != bat {
-		t.Errorf("counter totals diverged:\nserial  %+v\nbatched %+v", ser, bat)
+	serial := run(-1, false)
+	conc := run(0, true)
+	serial.BaseGraphOps, conc.BaseGraphOps = 0, 0
+	serial.BaseBackoutOps, conc.BaseBackoutOps = 0, 0
+	serial.MergeRetries, conc.MergeRetries = 0, 0
+	if serial != conc {
+		t.Errorf("counter totals diverged:\nserial     %+v\nconcurrent %+v", serial, conc)
 	}
 }
 

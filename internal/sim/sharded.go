@@ -15,7 +15,7 @@ import (
 // sharded tier exists for: each mobile deposits into its own account item,
 // so merges from different mobiles are pairwise disjoint and — once the
 // item space is partitioned — run on independent shards with no shared
-// mutex, no shared admission queue and no shared master map. PCrossShard
+// mutex, no shared admission critical section and no shared master map. PCrossShard
 // mixes in transfers to another mobile's account on a different shard,
 // exercising the two-phase cross-shard admit at a controlled rate.
 

@@ -33,6 +33,22 @@ run_logged() {
     rm -f "$log"
 }
 
+# require_tests PKG PATTERN: fail unless every |-separated alternative of a
+# -run PATTERN lists at least one test in PKG, so deleting or renaming a
+# test named in a gate fails the gate instead of silently shrinking it.
+require_tests() {
+    local pkg="$1" alt listed
+    local -a alts
+    IFS='|' read -r -a alts <<< "$2"
+    for alt in "${alts[@]}"; do
+        listed=$(go test -list "$alt" "$pkg")
+        if ! grep -qE '^(Test|Benchmark|Example|Fuzz)' <<< "$listed"; then
+            echo "FAILED: -run alternative '$alt' matches no test in $pkg" >&2
+            exit 1
+        fi
+    done
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l . | grep -v '^$' || true)
 if [ -n "$unformatted" ]; then
@@ -102,20 +118,24 @@ echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) ==
 # TestConformanceStrategy1IssuesNoOriginID) — all under the race detector.
 go test -race -count=1 ./internal/wire/
 
-echo "== race (incremental re-prepare parity + batched admission) =="
+echo "== race (incremental re-prepare parity + concurrent admission) =="
 # Explicit gate for the retry-amortization invariants: incremental
 # re-prepare must match a from-scratch prepare (reports and counters),
-# uploads bill once per reconnect, and a disjoint fleet batches its
-# admission — all under the race detector.
-go test -race -count=1 -run 'IncrementalRetryMatchesFromScratch|RetryBillsUploadOnce|BatchedAdmission|SerialAdmissionDiagnosticSwitch' ./internal/replica/
+# uploads bill once per reconnect, and a disjoint fleet admits
+# concurrently without a retry — all under the race detector.
+gate='IncrementalRetryMatchesFromScratch|RetryBillsUploadOnce|DisjointFleetAdmitsWithoutRetry'
+require_tests ./internal/replica/ "$gate"
+go test -race -count=1 -run "$gate" ./internal/replica/
 
 echo "== race (sharded base tier: two-phase cross-shard merges + window barrier) =="
 # Explicit gate for the sharding invariants: N=1 parity with the plain
 # cluster, serial-order equivalence of concurrent sharded reconnects,
-# admission-mode counter parity, cross-shard merges vs the single-shard
-# baseline, the checkout/advance window barrier, and the
+# counter parity with the serial pipeline, cross-shard merges vs the
+# single-shard baseline, the checkout/advance window barrier, and the
 # all-shards-contended deadlock smoke — all under the race detector.
-go test -race -count=1 -run 'TestShard|TestCrossShard|TestWindowBarrier' ./internal/replica/
+gate='TestShard|TestCrossShard|TestWindowBarrier'
+require_tests ./internal/replica/ "$gate"
+go test -race -count=1 -run "$gate" ./internal/replica/
 
 echo "== experiments (E0..E19) =="
 run_logged benchreport go run ./cmd/benchreport

@@ -341,8 +341,8 @@ func NewMobileNode(id string, b *BaseCluster) *MobileNode {
 }
 
 // Sharded base tier (DESIGN.md §11): the item space partitioned across N
-// base clusters, each with its own mutex, window clock, history, journal
-// and admission queue. Shard-local merges run entirely on their shard;
+// base clusters, each with its own mutex, window clock, history and
+// journal. Shard-local merges run entirely on their shard;
 // cross-shard merges run a two-phase admit across the involved shards.
 type (
 	// ShardedBase coordinates N base-cluster shards behind the BaseCluster
