@@ -521,15 +521,18 @@ func e15BenchHistories(b *testing.B, prefix, suffix int) (hm, full, pre, suf *hi
 	if err != nil {
 		b.Fatal(err)
 	}
+	mid := full.StateAt(prefix)
 	pre = &history.Augmented{
-		H:       full.H.Prefix(prefix),
-		States:  full.States[:prefix+1],
-		Effects: full.Effects[:prefix],
+		H:          full.H.Prefix(prefix),
+		Origin:     full.Origin,
+		Effects:    full.Effects[:prefix],
+		FinalState: mid,
 	}
 	suf = &history.Augmented{
-		H:       &history.History{Entries: full.H.Entries[prefix:]},
-		States:  full.States[prefix:],
-		Effects: full.Effects[prefix:],
+		H:          &history.History{Entries: full.H.Entries[prefix:]},
+		Origin:     mid,
+		Effects:    full.Effects[prefix:],
+		FinalState: full.Final(),
 	}
 	return hm, full, pre, suf
 }

@@ -109,15 +109,18 @@ func e15Histories(prefix, suffix int) (hm, full, pre, suf *history.Augmented) {
 		workload.Deposit("T2", tx.Tentative, "m0", 7),
 		workload.Deposit("T3", tx.Tentative, "m1", 7),
 	), st)
+	mid := fullAug.StateAt(prefix)
 	pre = &history.Augmented{
-		H:       fullAug.H.Prefix(prefix),
-		States:  fullAug.States[:prefix+1],
-		Effects: fullAug.Effects[:prefix],
+		H:          fullAug.H.Prefix(prefix),
+		Origin:     fullAug.Origin,
+		Effects:    fullAug.Effects[:prefix],
+		FinalState: mid,
 	}
 	suf = &history.Augmented{
-		H:       &history.History{Entries: fullAug.H.Entries[prefix:]},
-		States:  fullAug.States[prefix:],
-		Effects: fullAug.Effects[prefix:],
+		H:          &history.History{Entries: fullAug.H.Entries[prefix:]},
+		Origin:     mid,
+		Effects:    fullAug.Effects[prefix:],
+		FinalState: fullAug.Final(),
 	}
 	return hm, fullAug, pre, suf
 }

@@ -123,45 +123,92 @@ func (h *History) String() string {
 }
 
 // Augmented is an augmented history (Section 3): the history decorated with
-// explicit database states. States[i] is the before state of transaction i;
-// States[len] is the final state. Effects[i] is the effect log of the i-th
-// execution.
+// explicit database states s0 T1 s1 T2 s2 .... It holds them sparsely:
+// Origin is s0, Effects[i] is the effect log of the i-th execution, and
+// FinalState is the state after the last transaction. Every interior state
+// follows from Origin and the write images in Effects, so StateAt and the
+// point reads ValueBefore/ValueAfter materialize them on demand.
+//
+// Origin and FinalState are shared, read-only views: Run keeps the caller's
+// s0 as the Origin, and a mobile node hands out its live replica as the
+// FinalState. Base-history views a merge runs against (Hb) carry only H and
+// Effects; their state accessors panic instead of reading zeros.
 type Augmented struct {
-	H       *History
-	States  []model.State
-	Effects []*tx.Effect
+	H          *History
+	Origin     model.State
+	Effects    []*tx.Effect
+	FinalState model.State
 }
 
 // Run executes the history serially from s0 and returns the augmented
-// history. s0 is not modified.
+// history. s0 is not modified: it is kept, by reference, as the Origin, so
+// the caller must not mutate it while the result is in use. The final
+// state is the one working copy the run executes on.
 func Run(h *History, s0 model.State) (*Augmented, error) {
+	if s0 == nil {
+		s0 = model.NewState() // the empty state: every item zero
+	}
 	a := &Augmented{
 		H:       h,
-		States:  make([]model.State, h.Len()+1),
+		Origin:  s0,
 		Effects: make([]*tx.Effect, h.Len()),
 	}
 	cur := s0.Clone()
-	a.States[0] = cur
 	for i, e := range h.Entries {
-		next, eff, err := e.T.Exec(cur, e.Fix)
+		eff, err := e.T.ExecInPlace(cur, e.Fix)
 		if err != nil {
 			return nil, fmt.Errorf("history: position %d (%s): %w", i, e.T.ID, err)
 		}
-		a.States[i+1] = next
 		a.Effects[i] = eff
-		cur = next
 	}
+	a.FinalState = cur
 	return a, nil
 }
 
-// Final returns the final state of the augmented history.
-func (a *Augmented) Final() model.State { return a.States[len(a.States)-1] }
+// Final returns the final state of the augmented history. The state is
+// shared: callers that modify it must Clone first.
+func (a *Augmented) Final() model.State {
+	if a.FinalState == nil {
+		panic("history: Final of an augmented view without states")
+	}
+	return a.FinalState
+}
 
-// BeforeState returns the state immediately preceding transaction i.
-func (a *Augmented) BeforeState(i int) model.State { return a.States[i] }
+// StateAt materializes s_i, the state immediately preceding transaction i
+// (StateAt(H.Len()) is the final state), as a fresh copy the caller owns.
+func (a *Augmented) StateAt(i int) model.State {
+	a.mustHaveOrigin()
+	s := a.Origin.Clone()
+	for _, eff := range a.Effects[:i] {
+		s.Apply(eff.Writes)
+	}
+	return s
+}
 
-// AfterState returns the state immediately following transaction i.
-func (a *Augmented) AfterState(i int) model.State { return a.States[i+1] }
+// ValueBefore returns the value of it in the state immediately preceding
+// transaction i: the write image of its last writer before i, or its
+// origin value when nothing before i wrote it.
+func (a *Augmented) ValueBefore(i int, it model.Item) model.Value {
+	a.mustHaveOrigin()
+	for j := i - 1; j >= 0; j-- {
+		if v, ok := a.Effects[j].Writes[it]; ok {
+			return v
+		}
+	}
+	return a.Origin.Get(it)
+}
+
+// ValueAfter returns the value of it in the state immediately following
+// transaction i.
+func (a *Augmented) ValueAfter(i int, it model.Item) model.Value {
+	return a.ValueBefore(i+1, it)
+}
+
+func (a *Augmented) mustHaveOrigin() {
+	if a.Origin == nil {
+		panic("history: state read on an augmented view without an origin")
+	}
+}
 
 // FinalStateEquivalent reports whether h1 and h2, executed from s0, are
 // final state equivalent (Section 3): they are over the same set of

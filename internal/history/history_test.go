@@ -40,12 +40,55 @@ func TestSection3AugmentedStates(t *testing.T) {
 		model.StateOf(map[model.Item]model.Value{"x": 0, "y": 12, "z": 2}),
 	}
 	for i, w := range want {
-		if !a.States[i].Equal(w) {
-			t.Errorf("s%d = %s, want %s", i, a.States[i], w)
+		if got := a.StateAt(i); !got.Equal(w) {
+			t.Errorf("s%d = %s, want %s", i, got, w)
 		}
 	}
-	if !a.BeforeState(1).Equal(want[1]) || !a.AfterState(1).Equal(want[2]) {
-		t.Error("Before/AfterState indexing wrong")
+	if !a.Final().Equal(want[2]) {
+		t.Errorf("final = %s, want %s", a.Final(), want[2])
+	}
+	for _, it := range []model.Item{"x", "y", "z"} {
+		if got := a.ValueBefore(1, it); got != want[1].Get(it) {
+			t.Errorf("ValueBefore(1, %s) = %d, want %d", it, got, want[1].Get(it))
+		}
+		if got := a.ValueAfter(1, it); got != want[2].Get(it) {
+			t.Errorf("ValueAfter(1, %s) = %d, want %d", it, got, want[2].Get(it))
+		}
+	}
+}
+
+// TestAugmentedSparseStates: Run keeps s0 untouched as the shared Origin,
+// StateAt hands out copies the caller owns, and a view without an origin
+// (a base-history view) refuses state reads instead of reading zeros.
+func TestAugmentedSparseStates(t *testing.T) {
+	b1, g2, s0 := section3Example()
+	orig := s0.Clone()
+	a, err := Run(New(b1, g2), s0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s0.Equal(orig) {
+		t.Fatalf("Run modified s0: %s, want %s", s0, orig)
+	}
+	a.StateAt(1).Set("y", -1)
+	if a.ValueBefore(1, "y") != 12 || s0.Get("y") != 7 {
+		t.Error("mutating a materialized state leaked into the history")
+	}
+	view := &Augmented{H: a.H, Effects: a.Effects}
+	for name, read := range map[string]func(){
+		"StateAt":     func() { view.StateAt(1) },
+		"ValueBefore": func() { view.ValueBefore(1, "x") },
+		"ValueAfter":  func() { view.ValueAfter(0, "x") },
+		"Final":       func() { view.Final() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a view without states did not panic", name)
+				}
+			}()
+			read()
+		}()
 	}
 }
 

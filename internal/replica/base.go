@@ -61,8 +61,11 @@ type BaseCluster struct {
 	cfg Config
 	lm  *lockmgr.Manager
 
-	master       model.State
-	windowID     int
+	master   model.State
+	windowID int
+	// windowOrigin is the current window's origin. Strategy 2 checkouts
+	// hand it out by reference, so it is never mutated: a window advance
+	// (or recovery) replaces the map instead.
 	windowOrigin model.State
 	// originID caches windowOrigin's content identity, stamped on every
 	// Strategy 2 checkout as Checkout.OriginID. Installing a window origin
@@ -145,19 +148,17 @@ func sinceSpan(start time.Time) time.Duration {
 }
 
 // prefixCache incrementally materializes the current window's base history
-// as parallel entry/state/effect slices. The slices are append-only between
+// as parallel entry/effect slices. The slices are append-only between
 // structVer bumps, so snapshots hand out capped subslices that stay valid
-// and race-free while the cache keeps growing behind them.
+// and race-free while the cache keeps growing behind them. It holds no
+// per-position states: a merge reads only the base history's transactions
+// and effect logs, and the states that do get read (Strategy 1 origin
+// checks, interior inserts) come from the storage engine through stateAt.
 type prefixCache struct {
 	windowID  int
 	structVer int64
 	entries   []history.Entry
-	states    []model.State
 	effects   []*tx.Effect
-	// snap pins the storage engine's version chains at the window origin
-	// while the cache is alive, so compaction cannot drop versions the
-	// cached states were materialized from. nil until the cache is built.
-	snap *store.Snapshot
 }
 
 // NewBaseCluster builds a base cluster over the initial master state. It
@@ -269,17 +270,13 @@ func (b *BaseCluster) closeWindowLocked() {
 	b.store.Checkpoint(b.windowID, 0)
 }
 
-// trimPrefixLocked drops the prefix cache and releases its storage
-// snapshot. Called at window advance and checkpoint so a closed window's
-// materialized view is not retained indefinitely. Outstanding merge views
-// stay valid — they hold capped subslices whose backing arrays and states
-// survive the trim. Caller holds b.mu.
+// trimPrefixLocked drops the prefix cache. Called at window advance and
+// checkpoint so a closed window's materialized view is not retained
+// indefinitely. Outstanding merge views stay valid — they hold capped
+// subslices whose backing arrays survive the trim. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) trimPrefixLocked() {
-	if b.prefix.snap != nil {
-		b.prefix.snap.Release()
-	}
 	b.prefix = prefixCache{}
 }
 
@@ -421,48 +418,41 @@ func (b *BaseCluster) stateAt(pos int) model.State {
 // Caller holds b.mu.
 //
 // The returned slices are safe to read without the lock: between structVer
-// bumps the cache only appends, appends touch indices past every
-// previously returned view's length, and the per-position states are
-// freshly materialized from the version chains and never mutated
-// (interior inserts bump structVer, forcing a rebuild with fresh backing
-// arrays).
+// bumps the cache only appends, and appends touch indices past every
+// previously returned view's length (interior inserts bump structVer,
+// forcing a rebuild with fresh backing arrays).
 //
 //tiermerge:locks(cluster)
 //tiermerge:immutable
-func (b *BaseCluster) windowPrefix() (entries []history.Entry, states []model.State, effects []*tx.Effect) {
+func (b *BaseCluster) windowPrefix() (entries []history.Entry, effects []*tx.Effect) {
 	n := len(b.entries)
 	c := &b.prefix
-	if c.states == nil || c.windowID != b.windowID || c.structVer != b.structVer || len(c.entries) > n {
-		if c.snap != nil {
-			c.snap.Release()
-		}
+	if c.entries == nil || c.windowID != b.windowID || c.structVer != b.structVer || len(c.entries) > n {
 		c.windowID, c.structVer = b.windowID, b.structVer
 		c.entries = make([]history.Entry, 0, n+8)
-		c.states = append(make([]model.State, 0, n+9), b.windowOrigin)
 		c.effects = make([]*tx.Effect, 0, n+8)
-		c.snap = b.store.SnapshotAt(b.windowID, 0)
 	}
 	for i := len(c.entries); i < n; i++ {
 		e := b.entries[i]
 		c.entries = append(c.entries, history.Entry{T: e.t})
-		c.states = append(c.states, c.snap.StateAt(i+1))
 		c.effects = append(c.effects, e.eff)
 	}
-	return c.entries[:n:n], c.states[: n+1 : n+1], c.effects[:n:n]
+	return c.entries[:n:n], c.effects[:n:n]
 }
 
 // baseAugmented returns the base sub-history entries[pos:] as an augmented
 // history (the Hb a merge runs against), served from the prefix cache.
-// Caller holds b.mu; the result remains valid to read after the lock is
-// released (see windowPrefix).
+// The view carries only the history and its effect logs — no Origin or
+// final state, so a reader that reaches for a base state panics instead of
+// reading zeros. Caller holds b.mu; the result remains valid to read after
+// the lock is released (see windowPrefix).
 //
 //tiermerge:locks(cluster)
 //tiermerge:immutable
 func (b *BaseCluster) baseAugmented(pos int) *history.Augmented {
-	entries, states, effects := b.windowPrefix()
+	entries, effects := b.windowPrefix()
 	return &history.Augmented{
 		H:       &history.History{Entries: entries[pos:]},
-		States:  states[pos:],
 		Effects: effects[pos:],
 	}
 }
@@ -714,7 +704,12 @@ type Checkout struct {
 	WindowID int
 	// Pos is the base-history position of the snapshot (Strategy 1 only).
 	Pos int
-	// Origin is the snapshot the tentative history starts from.
+	// Origin is the snapshot the tentative history starts from. It is
+	// read-only: under Strategy 2 it is the tier's window origin itself,
+	// shared by every checkout of the window (a window advance installs a
+	// new map rather than changing this one), so holders copy it before
+	// writing — a mobile node's working replica is such a copy. Under
+	// Strategy 1 it is a private copy of the master state.
 	Origin model.State
 	// OriginID is Origin's content identity when Origin is a Strategy 2
 	// window origin (model.State.Digest for a plain cluster, a composite
@@ -742,7 +737,10 @@ func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
 		ck.Pos = len(b.entries)
 		ck.Origin = b.master.Clone()
 	} else {
-		ck.Origin = b.windowOrigin.Clone()
+		// Shared, not copied: the window origin is immutable (see
+		// windowOrigin), and every holder treats Checkout.Origin as
+		// read-only.
+		ck.Origin = b.windowOrigin
 		if b.originID == "" {
 			b.originID = b.windowOrigin.Digest()
 		}

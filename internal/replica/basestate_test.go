@@ -14,17 +14,13 @@ import (
 // These tests check them against an independent reference: the window
 // origin with the write images of entries[0:pos] applied in order.
 
-// checkBaseStates asserts that stateAt(pos) and the windowPrefix state at
-// every position of b's current window equal the reference, and that the
-// last one is the master.
+// checkBaseStates asserts that stateAt(pos) at every position of b's
+// current window equals the reference, and that the last one is the
+// master.
 func checkBaseStates(t *testing.T, label string, b *BaseCluster) {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	_, states, _ := b.windowPrefix()
-	if len(states) != len(b.entries)+1 {
-		t.Fatalf("%s: windowPrefix has %d states for %d entries", label, len(states), len(b.entries))
-	}
 	ref := b.windowOrigin.Clone()
 	for pos := 0; pos <= len(b.entries); pos++ {
 		if pos > 0 {
@@ -32,9 +28,6 @@ func checkBaseStates(t *testing.T, label string, b *BaseCluster) {
 		}
 		if got := b.stateAt(pos); !got.Equal(ref) {
 			t.Errorf("%s: stateAt(%d) = %s, reference %s", label, pos, got, ref)
-		}
-		if !states[pos].Equal(ref) {
-			t.Errorf("%s: windowPrefix state %d = %s, reference %s", label, pos, states[pos], ref)
 		}
 	}
 	if !ref.Equal(b.master) {
@@ -61,7 +54,7 @@ func TestBaseStatesStrategy1InteriorInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkBaseStates(t, "before the merge", b) // also builds the prefix cache
+	checkBaseStates(t, "before the merge", b)
 	out, err := m.ConnectMerge()
 	if err != nil {
 		t.Fatal(err)

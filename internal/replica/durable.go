@@ -193,7 +193,7 @@ func (b *BaseCluster) Checkpoint() error {
 	defer func() { <-b.ckptGate }()
 	b.mu.Lock()
 	win := b.windowID
-	origin := b.windowOrigin.Clone()
+	origin := b.windowOrigin // immutable; a window advance replaces it
 	entries := make([]baseEntry, len(b.entries))
 	copy(entries, b.entries)
 	// The checkpoint supersedes everything the prefix cache and the

@@ -141,9 +141,8 @@ func RecoverMobileNode(id string, r io.Reader) (*MobileNode, *Recovery, error) {
 			Pos:      rep.Pos,
 			Origin:   rep.Origin,
 		},
-		local:     rep.Augmented.Final().Clone(),
+		local:     rep.Augmented.Final(), // Replay's own working copy
 		hist:      rep.Augmented.H,
-		states:    rep.Augmented.States,
 		effects:   rep.Augmented.Effects,
 		recovered: rec,
 	}

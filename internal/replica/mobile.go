@@ -48,7 +48,6 @@ type MobileNode struct {
 	ck      Checkout
 	local   model.State
 	hist    *history.History
-	states  []model.State
 	effects []*tx.Effect
 	journal *wal.Writer
 
@@ -134,12 +133,13 @@ func (m *MobileNode) Checkout() {
 }
 
 // resetFrom installs a fresh checkout token and restarts the tentative
-// history from its origin.
+// history from its origin. The origin may be the tier's shared window
+// origin (Strategy 2), so the node never writes to it: local is the one
+// working copy its tentative transactions execute on.
 func (m *MobileNode) resetFrom(ck Checkout) {
 	m.ck = ck
 	m.local = m.ck.Origin.Clone()
 	m.hist = &history.History{}
-	m.states = []model.State{m.ck.Origin.Clone()}
 	m.effects = nil
 	m.journal = nil // journals cover one disconnection period
 }
@@ -159,13 +159,12 @@ func (m *MobileNode) Run(t *tx.Transaction) error {
 	case m.cluster != nil:
 		start = m.cluster.spanStart()
 	}
-	next, eff, err := t.Exec(m.local, nil)
+	// ExecInPlace is atomic, so a failed transaction leaves local intact.
+	eff, err := t.ExecInPlace(m.local, nil)
 	if err != nil {
 		return fmt.Errorf("replica: tentative %s: %w", t.ID, err)
 	}
-	m.local = next
 	m.hist.Append(t)
-	m.states = append(m.states, next)
 	m.effects = append(m.effects, eff)
 	if err := m.logTentative(t, eff); err != nil {
 		return fmt.Errorf("replica: journal %s: %w", t.ID, err)
@@ -187,9 +186,11 @@ func (m *MobileNode) Pending() int { return m.hist.Len() }
 func (m *MobileNode) Local() model.State { return m.local.Clone() }
 
 // Augmented exposes the node's tentative history as an augmented run (the
-// Hm a merge consumes).
+// Hm a merge consumes). The view shares the checkout origin and the live
+// replica as its final state, so it is valid only until the node runs its
+// next transaction or checks out again; callers consume it synchronously.
 func (m *MobileNode) Augmented() *history.Augmented {
-	return &history.Augmented{H: m.hist, States: m.states, Effects: m.effects}
+	return &history.Augmented{H: m.hist, Origin: m.ck.Origin, Effects: m.effects, FinalState: m.local}
 }
 
 // ConnectMerge connects to the base tier and reconciles via the merging

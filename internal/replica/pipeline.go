@@ -363,7 +363,6 @@ func (p *preparedMerge) extendFrom(cfg Config, snap prefixSnapshot, hm *history.
 	prevElided := prev.rep.Graph.Elided
 	suffix := &history.Augmented{
 		H:       &history.History{Entries: snap.hb.H.Entries[prevBase:]},
-		States:  snap.hb.States[prevBase:],
 		Effects: snap.hb.Effects[prevBase:],
 	}
 	rep, info, err := merge.Extend(prev.rep, hm, suffix, opts)

@@ -119,6 +119,12 @@ type ShardedBase struct {
 	// held mutex.
 	windowVer atomic.Int64
 
+	// origin caches the composed multi-shard window origin under its
+	// composed OriginID, so same-window checkouts share one map instead of
+	// each composing the shards' origins afresh. Like a shard's window
+	// origin it is never mutated; a new id installs a new map.
+	origin atomic.Pointer[composedOrigin]
+
 	// crossSeq numbers cross-shard forwarded-update transactions; the
 	// "XU" namespace keeps their IDs disjoint from every shard's own
 	// "U<mobile>.<seq>" forward transactions.
@@ -384,20 +390,47 @@ func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
 		if s.windowVer.Load() != v {
 			continue
 		}
-		origin := model.NewState()
-		for _, p := range parts {
-			for it, val := range p.Origin {
-				origin.Set(it, val)
-			}
-		}
+		id := composeOriginID(parts)
 		return Checkout{
 			MobileID: mobileID,
 			WindowID: parts[0].WindowID,
-			Origin:   origin,
-			OriginID: composeOriginID(parts),
+			Origin:   s.composeOrigin(id, parts),
+			OriginID: id,
 			Shards:   parts,
 		}
 	}
+}
+
+// composedOrigin is one composed multi-shard window origin with its id.
+//
+//tiermerge:immutable
+type composedOrigin struct {
+	id    string
+	state model.State
+}
+
+// composeOrigin returns the union of the shard checkouts' origins. A
+// Strategy 2 union (non-empty id) is built once per id and shared by every
+// checkout that composes to it; a Strategy 1 union is a fresh map each
+// time, like the per-shard master copies it is built from.
+func (s *ShardedBase) composeOrigin(id string, parts []Checkout) model.State {
+	if c := s.origin.Load(); id != "" && c != nil && c.id == id {
+		return c.state
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p.Origin)
+	}
+	origin := make(model.State, n)
+	for _, p := range parts {
+		for it, val := range p.Origin {
+			origin[it] = val
+		}
+	}
+	if id != "" {
+		s.origin.Store(&composedOrigin{id: id, state: origin})
+	}
+	return origin
 }
 
 // composeOriginID derives a sharded checkout's origin identity from its

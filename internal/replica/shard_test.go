@@ -484,3 +484,81 @@ func TestCrossShardRetryUploadParity(t *testing.T) {
 			retried.BaseGraphOps, single.BaseGraphOps)
 	}
 }
+
+// TestShardSharedOriginReadOnly: Strategy 2 checkouts hand out the window
+// origin by reference, so nothing on the reconnect path may write to it.
+// Concurrent mobiles check out, run, and merge (shard-local and
+// cross-shard) across one window advance; every origin a checkout handed
+// out — the composed one and each shard's — must still hash to the digest
+// it had when it was handed out. The same holds for a plain cluster.
+func TestShardSharedOriginReadOnly(t *testing.T) {
+	const n, rounds = 8, 12
+	type handed struct {
+		st     model.State
+		digest string
+	}
+	run := func(t *testing.T, advance func(), node func(id string) *MobileNode) {
+		var (
+			mu   sync.Mutex
+			held []handed
+		)
+		record := func(ck Checkout) {
+			sts := []model.State{ck.Origin}
+			for _, p := range ck.Shards {
+				sts = append(sts, p.Origin)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, st := range sts {
+				held = append(held, handed{st: st, digest: st.Digest()})
+			}
+		}
+		var wg, half sync.WaitGroup
+		wg.Add(n)
+		half.Add(n)
+		for g := 0; g < n; g++ {
+			go func(g int) {
+				defer wg.Done()
+				acct := model.Item(fmt.Sprintf("m%d.acct", g))
+				m := node(fmt.Sprintf("m%d", g))
+				for r := 0; r < rounds; r++ {
+					if r == rounds/2 {
+						half.Done()
+					}
+					record(m.ck)
+					txns := []*tx.Transaction{
+						workload.Deposit(fmt.Sprintf("D%d.%d", g, r), tx.Tentative, acct, 5),
+						workload.Transfer(fmt.Sprintf("X%d.%d", g, r), tx.Tentative, acct, "p", 1),
+					}
+					for _, tt := range txns {
+						if err := m.Run(tt); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if _, err := m.ConnectMerge(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				record(m.ck)
+			}(g)
+		}
+		half.Wait()
+		advance()
+		wg.Wait()
+		for i, h := range held {
+			if got := h.st.Digest(); got != h.digest {
+				t.Fatalf("handed-out origin %d was mutated: digest %s, handed out as %s", i, got, h.digest)
+			}
+		}
+	}
+	t.Run("sharded", func(t *testing.T) {
+		s := NewShardedBase(shardFleetOrigin(n), 2, Config{})
+		run(t, func() { s.AdvanceWindow() }, func(id string) *MobileNode { return NewShardedMobileNode(id, s) })
+	})
+	t.Run("plain", func(t *testing.T) {
+		b := NewBaseCluster(shardFleetOrigin(n), Config{})
+		run(t, func() { b.AdvanceWindow() }, func(id string) *MobileNode { return NewMobileNode(id, b) })
+	})
+}

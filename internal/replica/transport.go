@@ -335,7 +335,7 @@ func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, er
 		}
 		// The base tier has reconciled the history: it must never ship
 		// again, even if the re-checkout below fails.
-		c.node.hist, c.node.states, c.node.effects = &history.History{}, c.node.states[:1], nil
+		c.node.hist, c.node.effects = &history.History{}, nil
 	}
 	if err := c.checkout(ctx); err != nil {
 		return nil, err

@@ -302,19 +302,14 @@ func (s *Snapshot) Get(it model.Item) (model.Value, bool) {
 }
 
 // State materializes the full base state at the snapshot watermark.
-func (s *Snapshot) State() model.State { return s.StateAt(s.pos) }
-
-// StateAt materializes the full base state at (snapshot window, pos) for
-// pos at or below the watermark — the per-position states the merge
-// protocol's base sub-history view is built from.
 //
 //tiermerge:nonblocking
-func (s *Snapshot) StateAt(pos int) model.State {
+func (s *Snapshot) State() model.State {
 	s.t.mu.RLock()
 	defer s.t.mu.RUnlock()
 	st := make(model.State, len(s.t.chains))
 	for it, ch := range s.t.chains {
-		if v, ok := resolve(ch, s.window, pos); ok {
+		if v, ok := resolve(ch, s.window, s.pos); ok {
 			st[it] = v
 		}
 	}

@@ -183,8 +183,8 @@ func (t *Transaction) Exec(s model.State, fix Fix) (model.State, *Effect, error)
 }
 
 // ExecInPlace runs the transaction against s, mutating it, and returns the
-// effect log. On error s may be partially updated; callers that need
-// atomicity use Exec.
+// effect log. It is atomic: writes are buffered until every statement has
+// succeeded and only then applied to s, so on error s is unchanged.
 //
 //tiermerge:sink
 func (t *Transaction) ExecInPlace(s model.State, fix Fix) (*Effect, error) {

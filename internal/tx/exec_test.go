@@ -181,6 +181,15 @@ func TestExecAtomicOnError(t *testing.T) {
 	if s.Get("x") != 1 {
 		t.Error("failed Exec leaked a partial write")
 	}
+	// ExecInPlace buffers its writes the same way: the failing statement
+	// runs after x := 99, yet s must come back untouched.
+	want := s.Clone()
+	if _, err := tr.ExecInPlace(s, nil); err == nil {
+		t.Fatal("expected error from ExecInPlace")
+	}
+	if !s.Equal(want) || len(s) != len(want) {
+		t.Errorf("failed ExecInPlace changed the state: %s, want %s", s, want)
+	}
 }
 
 func TestValidateDoubleUpdate(t *testing.T) {

@@ -141,7 +141,7 @@ func (lw *Writer) Checkout(windowID, pos int, origin model.State) error {
 		Kind:     KindCheckout,
 		WindowID: windowID,
 		Pos:      pos,
-		Origin:   origin.Clone(),
+		Origin:   origin,
 	})
 }
 
@@ -163,7 +163,7 @@ func (lw *Writer) Window(windowID int, origin model.State) error {
 	return lw.append(Record{
 		Kind:     KindWindow,
 		WindowID: windowID,
-		Origin:   origin.Clone(),
+		Origin:   origin,
 	})
 }
 
@@ -357,10 +357,16 @@ func Replay(records []Record) (*Replayed, error) {
 	if records[0].OriginRef != "" && records[0].Origin == nil {
 		return nil, fmt.Errorf("%w: checkout origin ref %s was never resolved", ErrCorrupt, records[0].OriginRef)
 	}
+	// The decoded (or ref-resolved) origin is used as-is: Replay never
+	// writes to it, and the replayed run keeps it as its Origin.
+	origin := model.State(records[0].Origin)
+	if origin == nil {
+		origin = model.NewState() // an empty origin encodes as no field
+	}
 	rep := &Replayed{
 		WindowID: records[0].WindowID,
 		Pos:      records[0].Pos,
-		Origin:   model.StateOf(records[0].Origin),
+		Origin:   origin,
 	}
 
 	type pending struct {

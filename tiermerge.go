@@ -180,7 +180,10 @@ func Invert(t *Transaction) (*Transaction, error) { return tx.Invert(t) }
 type (
 	// History is a serial execution history.
 	History = history.History
-	// Augmented is a history decorated with explicit states (Section 3).
+	// Augmented is a history decorated with explicit states (Section 3),
+	// held sparsely: its origin, per-transaction effect logs and final
+	// state, with interior states materialized on demand (StateAt,
+	// ValueBefore, ValueAfter).
 	Augmented = history.Augmented
 )
 
@@ -188,7 +191,8 @@ type (
 func NewHistory(txns ...*Transaction) *History { return history.New(txns...) }
 
 // RunHistory executes a history serially from s0, returning the augmented
-// run.
+// run. s0 is not modified; it is kept, by reference, as the run's Origin,
+// so it must not be mutated while the run is in use.
 func RunHistory(h *History, s0 State) (*Augmented, error) { return history.Run(h, s0) }
 
 // FinalStateEquivalent reports whether two histories over the same
@@ -323,7 +327,10 @@ type (
 // Origin strategies.
 const (
 	// Strategy2: every tentative history starts from the shared window
-	// origin (the paper's choice; default).
+	// origin (the paper's choice; default). Checkouts hand that origin out
+	// by reference: it is shared by every checkout of the window and
+	// read-only (a window advance installs a new one), and a mobile node
+	// runs its tentative transactions on its own copy.
 	Strategy2 = replica.Strategy2
 	// Strategy1: each tentative history starts from the master state at
 	// checkout (exhibits the Figure 2 anomaly).
