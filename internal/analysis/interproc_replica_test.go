@@ -53,11 +53,11 @@ func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 
 // TestInferenceCoversRemovedAnnotation pins the tentpole property: the
 // locks(...)/blocking annotations are no longer the only source of truth.
-// A shadow copy of internal/replica with admitDirect's annotation
-// stripped, plus a seeded caller that invokes it under the cluster mutex,
-// must still be reported — the summary engine infers both the blocking
-// item-lock acquisition and the mutex re-acquisition with no annotation on
-// the chain.
+// A shadow copy of internal/replica with the admission entry point's
+// (shardGroup.admit) annotation stripped, plus a seeded caller that
+// invokes it under the cluster mutex, must still be reported — the
+// summary engine infers both the blocking item-lock acquisition and the
+// mutex re-acquisition with no annotation on the chain.
 func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module from source")
@@ -85,10 +85,10 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if name == "pipeline.go" {
-			const annotated = "//tiermerge:locks(none)\nfunc (b *BaseCluster) admitDirect("
-			const bare = "func (b *BaseCluster) admitDirect("
+			const annotated = "//tiermerge:locks(none)\nfunc (g shardGroup) admit("
+			const bare = "func (g shardGroup) admit("
 			if !strings.Contains(string(data), annotated) {
-				t.Fatalf("pipeline.go no longer carries the expected annotation on admitDirect")
+				t.Fatalf("pipeline.go no longer carries the expected annotation on shardGroup.admit")
 			}
 			data = []byte(strings.Replace(string(data), annotated, bare, 1))
 			stripped = true
@@ -98,7 +98,7 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 		}
 	}
 	if !stripped {
-		t.Fatal("did not strip the admitDirect annotation")
+		t.Fatal("did not strip the shardGroup.admit annotation")
 	}
 	probe := `package replica
 
@@ -108,7 +108,7 @@ import "tiermerge/internal/history"
 // the stripped annotation used to be the only defense against.
 func lintProbeBadCall(b *BaseCluster, ck Checkout, hm *history.Augmented, p *preparedMerge) {
 	b.mu.Lock()
-	b.admitDirect(ck, hm, p)
+	b.solo.admit(ck, hm, p)
 	b.mu.Unlock()
 }
 `

@@ -7,8 +7,8 @@ package analysis
 //   - item locks before shard mutexes: the lock manager's Acquire blocks
 //     (it parks on a waiter channel), so the engine's transitive-blocking
 //     check forbids reaching it while any shard or cluster mutex is held —
-//     every path must take item locks first, exactly as acquireAcross and
-//     admitDirect do;
+//     every path must take item locks first, exactly as the shard-group
+//     admission and ExecBase do (shardGroup.lockItems);
 //   - distinct mutexes of one class (the per-shard BaseCluster.mu) are
 //     acquired in strictly ascending index order: a constant-index
 //     acquisition at or below a held index, or an indexed acquisition

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tiermerge/internal/history"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
@@ -90,5 +91,44 @@ func TestReconnectPathAllocations(t *testing.T) {
 		b.mu.Lock()
 		b.baseAugmented(0)
 		b.mu.Unlock()
+	}))
+
+	// A reconnect whose one tentative price change conflicts with a base
+	// one: the merge backs it out and re-executes it at the base, which
+	// must read only the items it touches, not copy the 4096-item master.
+	// The mobile side stays out of the measurement: the mobiles are built
+	// beforehand, and each history's origin and final state are cut down
+	// to the one item it touches, because pruning folds over the mobile's
+	// final state. Each reconnect prices its own item, and few of them
+	// keep the base history, which every merge's graph spans, short.
+	const nMerge = 8
+	rb := NewBaseCluster(origin, Config{})
+	cks := make([]Checkout, nMerge)
+	hms := make([]*history.Augmented, nMerge)
+	basePrices := make([]*tx.Transaction, nMerge)
+	for i := range hms {
+		it := model.Item(fmt.Sprintf("i%04d", i))
+		m := NewMobileNode(fmt.Sprintf("r%d", i), rb)
+		if err := m.Run(workload.SetPrice(fmt.Sprintf("Tp%d", i), tx.Tentative, it, model.Value(i))); err != nil {
+			t.Fatal(err)
+		}
+		aug := m.Augmented()
+		cks[i] = m.ck
+		hms[i] = &history.Augmented{
+			H:          aug.H,
+			Effects:    aug.Effects,
+			Origin:     model.StateOf(map[model.Item]model.Value{it: aug.Origin.Get(it)}),
+			FinalState: model.StateOf(map[model.Item]model.Value{it: aug.FinalState.Get(it)}),
+		}
+		basePrices[i] = workload.SetPrice(fmt.Sprintf("Bp%d", i), tx.Base, it, model.Value(500+i))
+	}
+	check("Merge with re-execution", bytesPerOp(nMerge, func(i int) {
+		if err := rb.ExecBase(basePrices[i]); err != nil {
+			t.Fatal(err)
+		}
+		out, err := rb.Merge(cks[i], hms[i])
+		if err != nil || out.Reprocessed != 1 {
+			t.Fatalf("merge %d: out=%+v err=%v", i, out, err)
+		}
 	}))
 }

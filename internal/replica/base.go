@@ -116,15 +116,25 @@ type BaseCluster struct {
 	// exactly that point, forcing admission-validation failures (and hence
 	// retry attempts) deterministically.
 	hookAfterPrepare func(attempt int)
+
+	// tier and shard place the cluster in a sharded tier as its shard
+	// number shard, whose router owns the item→shard lookup. tier is nil
+	// for a plain cluster — the one shard of a one-shard tier is one — and
+	// a plain cluster owns every item. Both are set at construction.
+	tier  *ShardedBase
+	shard int
+	// solo is the cluster's group of one (shardGroup), built once so that
+	// operations on a plain cluster allocate no group.
+	solo shardGroup
 }
 
-// emit delivers one event to the configured observer. It must never be
-// called while b.mu is held: observers run arbitrary user code, and the
+// emit delivers one event to o, when there is one. It must never be called
+// while a cluster mutex is held: observers run arbitrary user code, and the
 // lock-discipline contract (and tiermergelint) forbid blocking work under
-// the cluster mutex. Locked sections gather the numbers; callers emit after
+// the mutexes. Locked sections gather the numbers; callers emit after
 // unlocking.
-func (b *BaseCluster) emit(ev obs.Event) {
-	if o := b.cfg.Observer; o != nil {
+func emit(o obs.Observer, ev obs.Event) {
+	if o != nil {
 		o.Observe(ev)
 	}
 }
@@ -132,8 +142,8 @@ func (b *BaseCluster) emit(ev obs.Event) {
 // spanStart opens a timing span: it reads the clock only when an observer
 // is configured, so the nil-observer fast path pays a single nil check and
 // no syscalls.
-func (b *BaseCluster) spanStart() time.Time {
-	if b.cfg.Observer == nil {
+func spanStart(o obs.Observer) time.Time {
+	if o == nil {
 		return time.Time{}
 	}
 	return time.Now()
@@ -191,6 +201,7 @@ func NewBaseCluster(initial model.State, cfg Config) *BaseCluster {
 	// every later watermark resolves through it.
 	b.store.Set(b.windowID, 0, b.master)
 	b.initFollowers()
+	b.solo = shardGroup{members: []*BaseCluster{b}, home: b}
 	return b
 }
 
@@ -246,7 +257,7 @@ func (b *BaseCluster) AdvanceWindow() int {
 	b.mu.Unlock()
 	if err == nil {
 		// Force the window record before anyone acts on the new window.
-		err = b.syncJournal()
+		err = b.solo.sync()
 	}
 	if err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
@@ -280,79 +291,102 @@ func (b *BaseCluster) trimPrefixLocked() {
 	b.prefix = prefixCache{}
 }
 
-// syncJournal forces the base journal to stable media; every path that
-// acknowledges a commit or a window advance calls it after releasing b.mu
-// (the flush blocks on file I/O, which must never run under the cluster
-// mutex). An in-memory sink makes it a no-op.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
-func (b *BaseCluster) syncJournal() error {
-	b.mu.Lock()
-	j := b.journal
-	b.mu.Unlock()
-	if j == nil {
-		return nil
-	}
-	if err := j.Sync(); err != nil {
-		return fmt.Errorf("replica: journal sync: %w", err)
-	}
-	return nil
-}
-
 // ExecBase runs one base transaction against master data under strict 2PL
 // and appends it to the base history. It charges query, lock and forced-log
 // costs plus lazy propagation to the other base replicas.
 //
 //tiermerge:locks(none)
-func (b *BaseCluster) ExecBase(t *tx.Transaction) error {
+func (b *BaseCluster) ExecBase(t *tx.Transaction) error { return b.solo.execBase(t) }
+
+// execBase runs one base transaction over the group: item locks on their
+// owners first (sorted order, deadlock retry), then the mutexes of every
+// owner, then execution over the gathered items and the install — whole
+// on a single owner, as per-shard slices across several.
+//
+//tiermerge:locks(none)
+func (g shardGroup) execBase(t *tx.Transaction) error {
 	if t.Kind != tx.Base {
 		return fmt.Errorf("%w: %s", ErrNotBase, t.ID)
 	}
-	items := t.StaticReadSet().Union(t.StaticWriteSet()).Items()
-	writes := t.StaticWriteSet()
-	// Acquire locks in sorted order outside the cluster mutex; retry on
-	// deadlock (sorted acquisition makes deadlock impossible here, but the
-	// path is exercised by concurrent callers of mixed order in tests).
-	for attempt := 0; ; attempt++ {
-		if err := b.acquireAll(t.ID, items, writes); err != nil {
-			if errors.Is(err, lockmgr.ErrDeadlock) && attempt < 10 {
-				b.lm.ReleaseAll(t.ID)
-				continue
-			}
-			b.lm.ReleaseAll(t.ID)
-			return fmt.Errorf("replica: locks for %s: %w", t.ID, err)
-		}
-		break
+	set := t.StaticReadSet().Union(t.StaticWriteSet())
+	items := set.Items()
+	lg := g.with(items)
+	if err := lg.lockItems(t.ID, items, t.StaticWriteSet()); err != nil {
+		return fmt.Errorf("replica: locks for %s: %w", t.ID, err)
 	}
-	defer b.lm.ReleaseAll(t.ID)
-
-	if err := b.execBaseCommit(t); err != nil {
+	defer lg.releaseItems(t.ID)
+	lockClusters(lg.members)
+	err := g.execBaseLocked(t, set)
+	unlockClusters(lg.members)
+	if err != nil {
 		return err
 	}
 	// Force the commit record to stable media before acknowledging: an
 	// acked base transaction must survive a crash (DESIGN.md §14).
-	return b.syncJournal()
+	return lg.sync()
 }
 
-// execBaseCommit runs the locked portion of ExecBase: execute on master,
-// append to the history, charge costs, write (but do not force) the
-// journal record.
+// execBaseLocked executes t over its gathered items, charges the home
+// cluster, and installs the result (writing, but not forcing, the journal
+// record). Caller holds every owner's mutex and t's item locks.
 //
-//tiermerge:locks(none)
-func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	eff, err := t.ExecInPlace(b.master, nil)
+//tiermerge:locks(shard)
+func (g shardGroup) execBaseLocked(t *tx.Transaction, set model.ItemSet) error {
+	eff, err := t.ExecInPlace(g.gatherLocked(set), nil)
 	if err != nil {
 		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
 	}
-	b.appendEntryLocked(baseEntry{t: t, eff: eff})
-	b.chargeBaseExec(t, eff)
-	if err := b.logCommit(t, eff); err != nil {
+	nLocks := int64(len(eff.ReadSet.Union(eff.WriteSet)))
+	g.home.counters.Update(func(c *cost.Counts) {
+		c.BaseQueries += int64(t.StmtCount())
+		c.BaseLocks += nLocks
+	})
+	if err := g.commitLocked(t, eff); err != nil {
 		return fmt.Errorf("replica: journal %s: %w", t.ID, err)
 	}
 	return nil
+}
+
+// gatherLocked assembles a scratch state holding the live master value of
+// every item in set, each read from its owner — what a base transaction
+// over set executes against, instead of a copy of a whole master. Caller
+// holds every owner's mutex.
+//
+//tiermerge:locks(shard)
+func (g shardGroup) gatherLocked(set model.ItemSet) model.State {
+	scratch := make(model.State, len(set))
+	for it := range set {
+		scratch[it] = g.owner(it).master.Get(it)
+	}
+	return scratch
+}
+
+// commitLocked installs one executed base transaction. When a single
+// cluster owns every item its effect touches (the home cluster when it
+// touches none), the transaction lands there whole: writes on the master,
+// the entry on the history, one forced commit record. Across several
+// owners it is installed as restricted per-shard slices
+// (ShardedBase.installSlicesLocked). Lazy propagation is charged per
+// installing cluster. Caller holds every owner's mutex.
+//
+//tiermerge:locks(shard)
+func (g shardGroup) commitLocked(t *tx.Transaction, eff *tx.Effect) error {
+	b := g.home
+	if s := b.tier; s != nil {
+		ks := s.router.shardsOf(eff.ReadSet.Union(eff.WriteSet))
+		if len(ks) > 1 {
+			s.installSlicesLocked(t, eff, ks)
+			return nil
+		}
+		if len(ks) == 1 {
+			b = s.shards[ks[0]]
+		}
+	}
+	b.master.Apply(eff.Writes)
+	b.appendEntryLocked(baseEntry{t: t, eff: eff})
+	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
+	b.propagate(t.ID, eff.Writes)
+	return b.logCommit(t, eff)
 }
 
 // appendEntryLocked appends a committed entry at the history tail and
@@ -364,39 +398,6 @@ func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
 func (b *BaseCluster) appendEntryLocked(e baseEntry) {
 	b.entries = append(b.entries, e)
 	b.store.Set(b.windowID, len(b.entries), e.eff.Writes)
-}
-
-// acquireAll takes the item locks in the given order, waiting as needed;
-// it must never run while the cluster mutex is held.
-//
-//tiermerge:blocking
-func (b *BaseCluster) acquireAll(owner string, items []model.Item, writes model.ItemSet) error {
-	for _, it := range items {
-		mode := lockmgr.Shared
-		if writes.Has(it) {
-			mode = lockmgr.Exclusive
-		}
-		if err := b.lm.Acquire(owner, it, mode); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// chargeBaseExec records the execution costs of one base transaction.
-// Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
-	nStmts := int64(t.StmtCount())
-	nLocks := int64(len(eff.ReadSet.Union(eff.WriteSet)))
-	b.counters.Update(func(c *cost.Counts) {
-		c.BaseQueries += nStmts
-		c.BaseLocks += nLocks
-		c.BaseForcedWrites++
-	})
-	// Lazy propagation of the new values to the other base replicas.
-	b.propagate(t.ID, eff.Writes)
 }
 
 // stateAt returns the base state at history position pos of the current
@@ -513,21 +514,25 @@ func forwardBody(values, deltas map[model.Item]model.Value) []tx.Stmt {
 	return body
 }
 
-// reprocessOne re-executes one tentative transaction as a base transaction:
-// transform, execute on master, validate against the acceptance criterion,
-// append to the base history, charge costs, and report the result back to
-// the mobile user. Caller holds b.mu. Failed re-executions — the
-// transaction is not defined on the current master state, or its base
-// outcome violates the acceptance criterion — are reported, not committed.
-// tentEff is the transaction's effect on the mobile replica (nil when
-// unknown), which the acceptance criterion compares against.
+// reexecLocked re-executes one tentative transaction as a base
+// transaction: transform, execute over the items it may touch gathered from
+// their owners, validate against the acceptance criterion, install on the
+// shards it touched, charge costs, and report the result back to the mobile
+// user. Failed re-executions — the transaction is not defined on the
+// current master state, or its base outcome violates the acceptance
+// criterion — are reported, not committed. tentEff is the transaction's
+// effect on the mobile replica (nil when unknown), which the acceptance
+// criterion compares against. The home cluster takes the communication and
+// compute charges. Caller holds the mutex of every owner of the
+// transaction's static read and write sets.
 //
-//tiermerge:locks(cluster)
-func (b *BaseCluster) reprocessOne(t *tx.Transaction, tentEff *tx.Effect) (ok bool) {
-	w := b.cfg.Weights
+//tiermerge:locks(shard)
+func (g shardGroup) reexecLocked(t *tx.Transaction, tentEff *tx.Effect) (ok bool) {
+	home := g.home
+	w := home.cfg.Weights
 	// Code + arguments travel mobile -> base; the result travels back.
-	b.counters.Msg(w, int64(t.StmtCount())*w.CodeBytesPerStmt+int64(t.ParamCount())*w.ArgBytes)
-	b.counters.Msg(w, w.ResultBytes)
+	home.counters.Msg(w, int64(t.StmtCount())*w.CodeBytesPerStmt+int64(t.ParamCount())*w.ArgBytes)
+	home.counters.Msg(w, w.ResultBytes)
 	base := &tx.Transaction{
 		ID:          t.ID + "@base",
 		Type:        t.Type,
@@ -536,10 +541,10 @@ func (b *BaseCluster) reprocessOne(t *tx.Transaction, tentEff *tx.Effect) (ok bo
 		Body:        t.Body,
 		InverseBody: t.InverseBody,
 	}
-	scratch := b.master.Clone()
-	eff, err := base.ExecInPlace(scratch, nil)
-	nLocks := int64(len(base.StaticReadSet().Union(base.StaticWriteSet())))
-	b.counters.Update(func(c *cost.Counts) {
+	set := base.StaticReadSet().Union(base.StaticWriteSet())
+	eff, err := base.ExecInPlace(g.gatherLocked(set), nil)
+	nLocks := int64(len(set))
+	home.counters.Update(func(c *cost.Counts) {
 		c.BaseTransforms++
 		c.BaseQueries += int64(base.StmtCount())
 		c.BaseLocks += nLocks
@@ -549,16 +554,12 @@ func (b *BaseCluster) reprocessOne(t *tx.Transaction, tentEff *tx.Effect) (ok bo
 	if err != nil {
 		return false
 	}
-	if b.cfg.Acceptance != nil && tentEff != nil {
-		if err := b.cfg.Acceptance(t, tentEff, eff); err != nil {
+	if home.cfg.Acceptance != nil && tentEff != nil {
+		if err := home.cfg.Acceptance(t, tentEff, eff); err != nil {
 			return false
 		}
 	}
-	b.master = scratch
-	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
-	b.appendEntryLocked(baseEntry{t: base, eff: eff})
-	b.propagate(base.ID, eff.Writes)
-	if err := b.logCommit(base, eff); err != nil {
+	if err := g.commitLocked(base, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
 	return true
@@ -578,16 +579,7 @@ func (b *BaseCluster) reprocessOne(t *tx.Transaction, tentEff *tx.Effect) (ok bo
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
-	out, err := b.mergePipelined(ck, hm)
-	if err != nil {
-		return nil, err
-	}
-	// Force the installed forwarded updates and re-executions before the
-	// mobile node treats its tentative work as saved.
-	if err := b.syncJournal(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return b.solo.merge(ck, hm)
 }
 
 // installForwarded installs a merge's forwarded write-back (repaired values
@@ -661,15 +653,19 @@ func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g 
 // re-executed.
 //
 //tiermerge:locks(none)
-func (b *BaseCluster) Reprocess(hm *history.Augmented) *ConnectOutcome {
-	start := b.spanStart()
-	b.mu.Lock()
-	out := b.fallbackReprocess(hm, FallbackNone)
-	b.mu.Unlock()
-	if err := b.syncJournal(); err != nil {
+func (b *BaseCluster) Reprocess(hm *history.Augmented) *ConnectOutcome { return b.solo.reprocess(hm) }
+
+// reprocess re-executes every transaction of hm, forces the journals it
+// wrote and reports the reprocess span.
+//
+//tiermerge:locks(none)
+func (g shardGroup) reprocess(hm *history.Augmented) *ConnectOutcome {
+	start := spanStart(g.observer())
+	out, wrote := g.fallback(hm, FallbackNone)
+	if err := wrote.sync(); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
-	b.emit(obs.Event{
+	g.emit(obs.Event{
 		Phase:      obs.PhaseReprocess,
 		Dur:        sinceSpan(start),
 		Reexecuted: out.Reprocessed,
@@ -678,17 +674,48 @@ func (b *BaseCluster) Reprocess(hm *history.Augmented) *ConnectOutcome {
 	return out
 }
 
-// fallbackReprocess re-executes every transaction of hm at the base tier.
-// Caller holds b.mu.
+// fallbackGroup widens the group to every shard reprocessing hm may touch:
+// the owners of hm's actual footprint and of each transaction's static
+// read and write sets, since a re-executed transaction may take a branch
+// its tentative run did not.
+func (g shardGroup) fallbackGroup(hm *history.Augmented) shardGroup {
+	if g.home.tier == nil {
+		return g
+	}
+	set := footprintOf(hm)
+	for i := 0; i < hm.H.Len(); i++ {
+		t := hm.H.Txn(i)
+		for it := range t.StaticReadSet().Union(t.StaticWriteSet()) {
+			set.Add(it)
+		}
+	}
+	return g.with(set.Items())
+}
+
+// fallback re-executes every transaction of hm under the mutexes of
+// fallbackGroup(hm), so the reprocessed history installs as one atomic
+// unit, and returns the outcome with the group whose journals it wrote.
 //
-//tiermerge:locks(cluster)
-func (b *BaseCluster) fallbackReprocess(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
+//tiermerge:locks(none)
+func (g shardGroup) fallback(hm *history.Augmented, reason FallbackReason) (*ConnectOutcome, shardGroup) {
+	wrote := g.fallbackGroup(hm)
+	lockClusters(wrote.members)
+	out := g.fallbackLocked(hm, reason)
+	unlockClusters(wrote.members)
+	return out, wrote
+}
+
+// fallbackLocked re-executes every transaction of hm in order. Caller
+// holds the mutexes of fallbackGroup(hm).
+//
+//tiermerge:locks(shard)
+func (g shardGroup) fallbackLocked(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
 	out := &ConnectOutcome{Fallback: reason}
 	if reason != FallbackNone {
-		b.counters.Update(func(c *cost.Counts) { c.MergeFallbacks++ })
+		g.home.counters.Update(func(c *cost.Counts) { c.MergeFallbacks++ })
 	}
 	for i := 0; i < hm.H.Len(); i++ {
-		if b.reprocessOne(hm.H.Txn(i), hm.Effects[i]) {
+		if g.reexecLocked(hm.H.Txn(i), hm.Effects[i]) {
 			out.Reprocessed++
 		} else {
 			out.Failed++
@@ -729,7 +756,7 @@ type Checkout struct {
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
-	start := b.spanStart()
+	start := spanStart(b.cfg.Observer)
 	b.mu.Lock()
 	w := b.cfg.Weights
 	ck := Checkout{MobileID: mobileID, WindowID: b.windowID}
@@ -748,8 +775,17 @@ func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
 	}
 	b.counters.Msg(w, int64(len(ck.Origin))*w.UpdateEntryBytes)
 	b.mu.Unlock()
-	b.emit(obs.Event{Mobile: mobileID, Phase: obs.PhaseCheckout, Dur: sinceSpan(start)})
+	emit(b.cfg.Observer, obs.Event{Mobile: mobileID, Phase: obs.PhaseCheckout, Dur: sinceSpan(start)})
 	return ck
+}
+
+// token returns the cluster's own checkout token out of ck: its per-shard
+// token when ck came from a sharded tier, ck itself otherwise.
+func (b *BaseCluster) token(ck Checkout) Checkout {
+	if ck.Shards == nil {
+		return ck
+	}
+	return ck.Shards[b.shard]
 }
 
 // Preview computes the merge report a connect would produce right now —
@@ -759,26 +795,27 @@ func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) Preview(ck Checkout, hm *history.Augmented) (*merge.Report, error) {
-	// Validate and snapshot under the mutex, then merge outside it: the
-	// augmented view stays valid after release (see windowPrefix), and the
-	// merge is the heavy step — running it locked would stall admissions
-	// and invoke any configured MergeOptions.Observer under the cluster
-	// mutex (a lockorder violation).
-	b.mu.Lock()
-	if ck.WindowID != b.windowID {
-		b.mu.Unlock()
-		return nil, fmt.Errorf("preview: %w (checkout window %d, current %d): everything would be reprocessed",
-			ErrWindowExpired, ck.WindowID, b.windowID)
+	return b.solo.preview(ck, hm)
+}
+
+// preview validates and snapshots under the group's mutexes, then merges
+// outside them: the augmented view stays valid after release (see
+// windowPrefix), and the merge is the heavy step — running it locked would
+// stall admissions and invoke any configured MergeOptions.Observer under a
+// mutex (a lockorder violation).
+//
+//tiermerge:locks(none)
+func (g shardGroup) preview(ck Checkout, hm *history.Augmented) (*merge.Report, error) {
+	gs, fb := g.snapshot(ck)
+	switch fb {
+	case FallbackNone:
+	case FallbackWindowExpired:
+		return nil, fmt.Errorf("preview: %w (checkout window %d): everything would be reprocessed",
+			ErrWindowExpired, ck.WindowID)
+	default:
+		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
 	}
-	pos := 0
-	if b.cfg.Origin == Strategy1 {
-		pos = ck.Pos
-		if pos > len(b.entries) || !ck.Origin.Equal(b.stateAt(pos)) {
-			b.mu.Unlock()
-			return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
-		}
-	}
-	hb := b.baseAugmented(pos)
-	b.mu.Unlock()
-	return merge.Merge(hm, hb, b.cfg.MergeOptions)
+	var ver int64
+	gs.combine(&ver)
+	return merge.Merge(hm, gs.view.hb, g.home.cfg.MergeOptions)
 }

@@ -19,7 +19,7 @@ import (
 // forwarded-update transactions alike — and every window advance are
 // appended; RecoverBaseCluster replays and verifies the whole log after a
 // crash. Commit paths force the journal to stable media before they
-// acknowledge (syncJournal); OpenBase in durable.go adds checkpointing and
+// acknowledge (shardGroup.sync); OpenBase in durable.go adds checkpointing and
 // log truncation on top of the same record stream.
 
 // AttachJournal starts journaling the cluster onto w: the current master
@@ -45,13 +45,13 @@ func (b *BaseCluster) AttachJournal(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return b.syncJournal()
+	return b.solo.sync()
 }
 
 // logCommit journals one committed base entry. Caller holds b.mu. Journal
 // failures are returned to the committing path — a base that cannot force
 // its log must not acknowledge the commit. The record lands in the
-// journal's buffer here; the committing path forces it with syncJournal
+// journal's buffer here; the committing path forces it with shardGroup.sync
 // after releasing the mutex (file I/O never runs under b.mu).
 //
 //tiermerge:locks(cluster)
@@ -204,6 +204,6 @@ func RecoverBaseCluster(r io.Reader, cfg Config) (*BaseCluster, *Recovery, error
 		c.WalRecordsReplayed += int64(rec.Records)
 		c.WalTailDropped += int64(rec.Dropped)
 	})
-	b.emit(rec.event("base"))
+	emit(b.cfg.Observer, rec.event("base"))
 	return b, rec, nil
 }

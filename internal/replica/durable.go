@@ -160,7 +160,7 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 		c.WalRecordsReplayed += int64(rec.Records)
 		c.WalTailDropped += int64(rec.Dropped)
 	})
-	b.emit(rec.event("base"))
+	emit(b.cfg.Observer, rec.event("base"))
 	return b, rec, nil
 }
 
@@ -226,7 +226,7 @@ func (b *BaseCluster) Checkpoint() error {
 		c.StoreVersionsCompacted += int64(cs.Compacted)
 		c.StoreBytesTruncated += st.TruncatedBytes
 	})
-	b.emit(obs.Event{
+	emit(b.cfg.Observer, obs.Event{
 		Phase: obs.PhaseCheckpoint,
 		Saved: len(entries),
 	})

@@ -82,7 +82,7 @@ func drainFollower(f *follower) {
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) SyncReplicas() int {
-	start := b.spanStart()
+	start := spanStart(b.cfg.Observer)
 	b.mu.Lock()
 	applied := 0
 	for _, f := range b.followers {
@@ -91,7 +91,7 @@ func (b *BaseCluster) SyncReplicas() int {
 	}
 	b.mu.Unlock()
 	if applied > 0 {
-		b.emit(obs.Event{Phase: obs.PhasePropagate, Dur: sinceSpan(start), Lag: applied})
+		emit(b.cfg.Observer, obs.Event{Phase: obs.PhasePropagate, Dur: sinceSpan(start), Lag: applied})
 	}
 	return applied
 }

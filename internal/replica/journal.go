@@ -166,5 +166,5 @@ func (m *MobileNode) noteRecovery(b *BaseCluster) {
 	})
 	ev := rec.event(m.ID)
 	ev.Seq = b.mergeSeq.Add(1)
-	b.emit(ev)
+	emit(b.cfg.Observer, ev)
 }

@@ -3,7 +3,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"tiermerge/internal/history"
 	"tiermerge/internal/merge"
@@ -152,13 +151,14 @@ func (m *MobileNode) Run(t *tx.Transaction) error {
 	if t.Kind != tx.Tentative {
 		return fmt.Errorf("%w: %s", ErrNotTentative, t.ID)
 	}
-	var start time.Time
+	var o obs.Observer
 	switch {
 	case m.sharded != nil:
-		start = m.sharded.spanStart()
+		o = m.sharded.cfg.Observer
 	case m.cluster != nil:
-		start = m.cluster.spanStart()
+		o = m.cluster.cfg.Observer
 	}
+	start := spanStart(o)
 	// ExecInPlace is atomic, so a failed transaction leaves local intact.
 	eff, err := t.ExecInPlace(m.local, nil)
 	if err != nil {
@@ -169,12 +169,7 @@ func (m *MobileNode) Run(t *tx.Transaction) error {
 	if err := m.logTentative(t, eff); err != nil {
 		return fmt.Errorf("replica: journal %s: %w", t.ID, err)
 	}
-	switch {
-	case m.sharded != nil:
-		m.sharded.emit(obs.Event{Mobile: m.ID, Phase: obs.PhaseRun, Dur: sinceSpan(start)})
-	case m.cluster != nil:
-		m.cluster.emit(obs.Event{Mobile: m.ID, Phase: obs.PhaseRun, Dur: sinceSpan(start)})
-	}
+	emit(o, obs.Event{Mobile: m.ID, Phase: obs.PhaseRun, Dur: sinceSpan(start)})
 	return nil
 }
 

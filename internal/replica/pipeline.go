@@ -39,6 +39,18 @@ import (
 // concurrent base transactions under the same strict-2PL discipline
 // ExecBase uses.
 //
+// Every step runs over a shardGroup: the base clusters the reconnect
+// involves, in ascending tier order, plus the tier's item→owner lookup. A
+// plain BaseCluster is a group of one that owns every item; a sharded tier
+// (shard.go) hands the pipeline the shards owning the merge's footprint.
+// One set of functions serves both. A group of one snapshots its cluster's
+// own prefix under its real structure version; a cross-shard group
+// combines its members' prefixes into one serial view (combineParts) and
+// revalidates and installs across all of them. An install holds the
+// group's mutexes widened by the owners of every item a re-executed
+// transaction may touch (shardGroup.with), so a re-execution that branches
+// onto another shard finds that shard held.
+//
 // Incremental re-prepare keeps retries cheap at scale: a retry carries the
 // previous attempt's preparedMerge. Base transactions are durable and only
 // append to the history between structural changes, so the precedence
@@ -68,7 +80,11 @@ type prefixSnapshot struct {
 // preparedMerge is the outcome of the lock-free prepare phase.
 type preparedMerge struct {
 	snap prefixSnapshot
-	rep  *merge.Report
+	// parts are a cross-shard group's member snapshots, which snap
+	// combines and admission revalidates one by one; nil for a group of
+	// one, whose member snapshot is snap itself (memberSnap).
+	parts []prefixSnapshot
+	rep   *merge.Report
 	// footprint is the union of Hm's actual read and write sets — the
 	// items whose base-side history must not have changed for the prepared
 	// report to stay valid.
@@ -131,28 +147,208 @@ type eventBuffer struct{ events []obs.Event }
 
 func (eb *eventBuffer) Observe(ev obs.Event) { eb.events = append(eb.events, ev) }
 
-// mergePipelined is the optimistic two-phase Merge entry point.
+// shardGroup is the set of base clusters one operation of the base tier
+// involves — the one parameter the pipeline varies between a plain cluster
+// and a sharded tier. The tier's item→owner lookup comes with the home
+// cluster: a plain cluster owns every item, a shard routes through its
+// tier (owner).
+type shardGroup struct {
+	// members are the involved clusters in ascending tier order, never
+	// empty; their mutexes, taken in this order (lockClusters), are the
+	// operation's critical section.
+	members []*BaseCluster
+	// home is the lowest shard of the operation's own footprint: it takes
+	// the operation's tier-level charges and numbers its merges. A
+	// widened group (with) keeps it.
+	home *BaseCluster
+}
+
+// cross reports whether the group spans more than one shard.
+func (g shardGroup) cross() bool { return len(g.members) > 1 }
+
+// owner returns the cluster owning item it.
+func (g shardGroup) owner(it model.Item) *BaseCluster {
+	s := g.home.tier
+	if s == nil {
+		return g.home
+	}
+	return s.shards[s.router.Shard(it)]
+}
+
+// with widens the group by the owners of items, keeping its home. A plain
+// cluster's group, like any group already holding every owner, comes back
+// as it is.
+func (g shardGroup) with(items []model.Item) shardGroup {
+	s := g.home.tier
+	if s == nil {
+		return g
+	}
+	hit := make([]bool, len(s.shards))
+	for _, b := range g.members {
+		hit[b.shard] = true
+	}
+	grown := false
+	for _, it := range items {
+		if k := s.router.Shard(it); !hit[k] {
+			hit[k], grown = true, true
+		}
+	}
+	if !grown {
+		return g
+	}
+	var members []*BaseCluster
+	for k, h := range hit {
+		if h {
+			members = append(members, s.shards[k])
+		}
+	}
+	return shardGroup{members: members, home: g.home}
+}
+
+// observer returns where the group's events go: a group of one reports
+// through its cluster's observer (shard-stamped in a sharded tier), a
+// cross-shard group through the tier's.
+func (g shardGroup) observer() obs.Observer {
+	if g.cross() {
+		return g.home.tier.cfg.Observer
+	}
+	return g.home.cfg.Observer
+}
+
+// emit delivers one of the group's events, marking a cross-shard group's
+// with Detail "cross-shard". Never called under a held mutex.
+func (g shardGroup) emit(ev obs.Event) {
+	if g.cross() {
+		ev.Detail = "cross-shard"
+	}
+	emit(g.observer(), ev)
+}
+
+// lockClusters acquires the given clusters' mutexes in ascending shard
+// order — the one global acquisition order every multi-cluster path uses,
+// so two cross-shard admits (or an admit and a cross-shard base
+// transaction) can never deadlock on shard mutexes. Callers pass a group's
+// members, which are in that order.
+//
+//tiermerge:blocking
+func lockClusters(bs []*BaseCluster) {
+	for _, b := range bs {
+		b.mu.Lock()
+	}
+}
+
+// unlockClusters releases what lockClusters acquired.
+func unlockClusters(bs []*BaseCluster) {
+	for i := len(bs) - 1; i >= 0; i-- {
+		bs[i].mu.Unlock()
+	}
+}
+
+// lockItems takes owner's item locks in the given (sorted) order, each on
+// its owning cluster's lock manager — exclusive on writes, shared
+// otherwise — waiting as needed and retrying as a deadlock victim up to
+// ten times. On failure it releases whatever it took. It must never run
+// while a cluster mutex is held: item locks come first, then the mutexes,
+// and nothing under a mutex ever waits on an item lock.
+//
+//tiermerge:blocking
+func (g shardGroup) lockItems(owner string, items []model.Item, writes model.ItemSet) error {
+	for attempt := 0; ; attempt++ {
+		var err error
+		for _, it := range items {
+			mode := lockmgr.Shared
+			if writes.Has(it) {
+				mode = lockmgr.Exclusive
+			}
+			if err = g.owner(it).lm.Acquire(owner, it, mode); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			return nil
+		}
+		g.releaseItems(owner)
+		if !errors.Is(err, lockmgr.ErrDeadlock) || attempt >= 10 {
+			return err
+		}
+	}
+}
+
+// releaseItems drops owner's item locks on every member.
+func (g shardGroup) releaseItems(owner string) {
+	for _, b := range g.members {
+		b.lm.ReleaseAll(owner)
+	}
+}
+
+// sync forces every member's journal to stable media. Every path that
+// acknowledges a commit or a window advance calls it after releasing the
+// mutexes: the flush blocks on file I/O, which must never run under a
+// cluster mutex. An in-memory sink makes it a no-op.
 //
 //tiermerge:locks(none)
-func (b *BaseCluster) mergePipelined(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
-	attempts := b.cfg.MergeAttempts
+//tiermerge:blocking
+func (g shardGroup) sync() error {
+	for _, b := range g.members {
+		b.mu.Lock()
+		j := b.journal
+		b.mu.Unlock()
+		if j == nil {
+			continue
+		}
+		if err := j.Sync(); err != nil {
+			return fmt.Errorf("replica: journal sync: %w", err)
+		}
+	}
+	return nil
+}
+
+// merge runs the merging protocol for one reconnect over the group, then
+// forces the journals it wrote: the installed forwarded updates and
+// re-executions must be durable before the mobile node treats its
+// tentative work as saved.
+//
+//tiermerge:locks(none)
+func (g shardGroup) merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
+	out, wrote, err := g.mergeAttempts(ck, hm)
+	if err != nil {
+		return nil, err
+	}
+	if err := wrote.sync(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// mergeAttempts runs the optimistic attempts and, when they all fail
+// validation, the serial round. It returns the outcome and the group whose
+// journals the outcome was written to.
+//
+//tiermerge:locks(none)
+func (g shardGroup) mergeAttempts(ck Checkout, hm *history.Augmented) (*ConnectOutcome, shardGroup, error) {
+	home, o := g.home, g.observer()
+	attempts := home.cfg.MergeAttempts
 	if attempts == 0 {
 		attempts = defaultMergeAttempts
 	}
-	seq := b.mergeSeq.Add(1)
-	mergeStart := b.spanStart()
+	hook := home.hookAfterPrepare
+	if g.cross() {
+		hook = home.tier.hookAfterPrepare
+	}
+	seq := home.mergeSeq.Add(1)
+	mergeStart := spanStart(o)
 	// finish emits the fallback classification (if any) and the
 	// whole-reconnect summary event, then passes the result through.
-	finish := func(out *ConnectOutcome, err error) (*ConnectOutcome, error) {
-		if b.cfg.Observer == nil {
-			return out, err
+	finish := func(out *ConnectOutcome, wrote shardGroup, err error) (*ConnectOutcome, shardGroup, error) {
+		if o == nil {
+			return out, wrote, err
 		}
 		ev := obs.Event{Mobile: ck.MobileID, Seq: seq, Phase: obs.PhaseMerge, Dur: sinceSpan(mergeStart)}
 		if err != nil {
 			ev.Err = err.Error()
 		} else if out != nil {
 			if out.Fallback != FallbackNone {
-				b.emit(obs.Event{
+				g.emit(obs.Event{
 					Mobile: ck.MobileID, Seq: seq,
 					Phase: obs.PhaseFallback, Cause: obs.Cause(out.Fallback),
 				})
@@ -162,43 +358,43 @@ func (b *BaseCluster) mergePipelined(ck Checkout, hm *history.Augmented) (*Conne
 			ev.Reexecuted = out.Reprocessed
 			ev.Failed = out.Failed
 		}
-		b.emit(ev)
-		return out, err
+		g.emit(ev)
+		return out, wrote, err
 	}
 	var prev *preparedMerge
+	var ver int64 // a cross-shard group's synthetic structure version
 	for attempt := 1; attempt <= attempts; attempt++ {
-		snapStart := b.spanStart()
-		b.mu.Lock()
-		snap, fb := b.snapshotLocked(ck)
+		snapStart := spanStart(o)
+		gs, fb := g.snapshot(ck)
 		if fb != FallbackNone {
-			out := b.fallbackReprocess(hm, fb)
-			b.mu.Unlock()
-			return finish(out, nil)
+			out, wrote := g.fallback(hm, fb)
+			return finish(out, wrote, nil)
 		}
-		b.mu.Unlock()
-		b.emit(obs.Event{
+		gs.combine(&ver)
+		g.emit(obs.Event{
 			Mobile: ck.MobileID, Seq: seq,
 			Phase: obs.PhaseSnapshot, Attempt: attempt, Dur: sinceSpan(snapStart),
 		})
 
-		p, err := prepareMerge(b.cfg, snap, hm, prev, bindMerge(b.cfg.Observer, ck.MobileID, seq, attempt))
+		p, err := prepareMerge(home.cfg, gs.view, hm, prev, bindMerge(o, ck.MobileID, seq, attempt))
 		if err != nil {
-			return finish(nil, err)
+			return finish(nil, shardGroup{}, err)
 		}
-		if h := b.hookAfterPrepare; h != nil {
-			h(attempt)
+		p.parts = gs.parts
+		if hook != nil {
+			hook(attempt)
 		}
-		admitStart := b.spanStart()
-		out, admitted, cause, err := b.admitDirect(ck, hm, p)
+		admitStart := spanStart(o)
+		out, wrote, cause, err := g.admit(ck, hm, p)
 		if err != nil {
-			return finish(nil, err)
+			return finish(nil, shardGroup{}, err)
 		}
-		b.emit(obs.Event{
+		g.emit(obs.Event{
 			Mobile: ck.MobileID, Seq: seq,
 			Phase: obs.PhaseAdmit, Attempt: attempt, Dur: sinceSpan(admitStart), Cause: cause,
 		})
-		if admitted {
-			return finish(out, nil)
+		if out != nil {
+			return finish(out, wrote, nil)
 		}
 		// Validation failed: the base history grew a conflicting extension
 		// (or changed shape). Retry prepare against the extended prefix,
@@ -206,34 +402,90 @@ func (b *BaseCluster) mergePipelined(ck Checkout, hm *history.Augmented) (*Conne
 		// rebuilding.
 		prev = p
 	}
-	// Degrade to the serial path: the whole protocol under the cluster
-	// lock cannot be invalidated. The carried prepared merge still applies:
-	// the serial prepare extends it (or rebuilds without re-billing the
-	// upload). Sub-phase events are buffered and flushed after unlock (see
-	// eventBuffer).
+	// Degrade to the serial path: the whole protocol under the mutexes of
+	// every shard the reconnect can touch cannot be invalidated. The
+	// carried prepared merge still applies: the serial prepare extends it
+	// (or rebuilds without re-billing the upload). Sub-phase events are
+	// buffered and flushed after unlock (see eventBuffer).
 	var buf *eventBuffer
 	var inner obs.Observer
-	if b.cfg.Observer != nil {
+	if o != nil {
 		buf = &eventBuffer{}
 		inner = bindMerge(buf, ck.MobileID, seq, 0)
 	}
-	serialStart := b.spanStart()
-	b.mu.Lock()
-	out, err := b.mergeSerialLocked(ck, hm, prev, inner)
-	b.mu.Unlock()
+	serialStart := spanStart(o)
+	wrote := g.fallbackGroup(hm)
+	lockClusters(wrote.members)
+	out, err := g.mergeSerialLocked(ck, hm, prev, &ver, inner)
+	unlockClusters(wrote.members)
 	if buf != nil {
 		for _, ev := range buf.events {
-			b.cfg.Observer.Observe(ev)
+			o.Observe(ev)
 		}
 	}
-	// The serial-degrade mark goes through b.emit like every other phase,
-	// so trace consumers always see the serial attempt (it must not hide
+	// The serial-degrade mark goes through emit like every other phase, so
+	// trace consumers always see the serial attempt (it must not hide
 	// behind the buffered sub-phase flush above).
-	b.emit(obs.Event{
+	g.emit(obs.Event{
 		Mobile: ck.MobileID, Seq: seq,
-		Phase: obs.PhaseSerial, Attempt: attempts, Dur: sinceSpan(serialStart),
+		Phase: obs.PhaseSerial, Attempt: max(attempts, 0), Dur: sinceSpan(serialStart),
 	})
-	return finish(out, err)
+	return finish(out, wrote, err)
+}
+
+// groupSnap is a group's captured base prefix: the view prepare runs
+// against and, for a cross-shard group, each member's own snapshot (which
+// admission revalidates) with the cross-shard identities parallel to its
+// entries.
+type groupSnap struct {
+	view  prefixSnapshot
+	parts []prefixSnapshot
+	refs  [][]*crossTxn
+}
+
+// snapshot captures the group's prefix under its members' mutexes.
+//
+//tiermerge:locks(none)
+func (g shardGroup) snapshot(ck Checkout) (groupSnap, FallbackReason) {
+	lockClusters(g.members)
+	gs, fb := g.snapshotLocked(ck)
+	unlockClusters(g.members)
+	return gs, fb
+}
+
+// snapshotLocked validates every member's checkout token and captures its
+// prefix snapshot: a group of one's is the view itself, a cross-shard
+// group's parts wait for combine. Caller holds every member's mutex.
+//
+//tiermerge:locks(shard)
+func (g shardGroup) snapshotLocked(ck Checkout) (gs groupSnap, fb FallbackReason) {
+	if !g.cross() {
+		gs.view, fb = g.home.snapshotLocked(g.home.token(ck))
+		return gs, fb
+	}
+	gs.parts = make([]prefixSnapshot, len(g.members))
+	gs.refs = make([][]*crossTxn, len(g.members))
+	for i, b := range g.members {
+		if gs.parts[i], fb = b.snapshotLocked(b.token(ck)); fb != FallbackNone {
+			return groupSnap{}, fb
+		}
+		gs.refs[i] = b.crossRefsLocked(gs.parts[i].pos)
+	}
+	return gs, FallbackNone
+}
+
+// combine builds a cross-shard group's view from its members' snapshots
+// under the next synthetic structure version. *ver counts down, so no two
+// attempts of one merge share a version and prepareMerge always rebuilds:
+// per-shard suffixes cannot be grafted onto a combined graph. A group of
+// one keeps its member's snapshot, real structure version and all, so
+// incremental re-prepare applies.
+func (gs *groupSnap) combine(ver *int64) {
+	if gs.parts == nil {
+		return
+	}
+	*ver--
+	gs.view = combineParts(gs.parts, gs.refs, *ver)
 }
 
 // snapshotLocked validates the checkout token and captures the prefix
@@ -562,115 +814,168 @@ func (p *preparedMerge) lockPlan(mobileID string) (owner string, items []model.I
 	return owner, all.Items(), writes
 }
 
-// admitDirect is the admission critical section: acquire the
-// merge's lock footprint, revalidate the snapshot, and install. It returns
-// admitted=false when validation failed and the caller should re-prepare;
-// cause classifies the retry (struct-changed, extension-conflict) or the
-// in-admission fallback (window-expired).
+// admit is one attempt's admission: take the merge's item locks on their
+// owners, then the mutexes of the group widened by those owners (a
+// re-execution may branch onto a shard the snapshot did not cover),
+// revalidate the snapshot, and install. A nil outcome means validation
+// failed and the caller should re-prepare; cause classifies the retry
+// (struct-changed, extension-conflict) or the in-admission fallback
+// (window-expired), which reprocesses after the locks are released. wrote
+// is the group the outcome's journal records went to.
 //
 //tiermerge:locks(none)
-func (b *BaseCluster) admitDirect(ck Checkout, hm *history.Augmented, p *preparedMerge) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
+func (g shardGroup) admit(ck Checkout, hm *history.Augmented, p *preparedMerge) (out *ConnectOutcome, wrote shardGroup, cause obs.Cause, err error) {
 	owner, items, writes := p.lockPlan(ck.MobileID)
+	wrote = g.with(items)
 	if len(items) > 0 {
-		// Same two-phase pattern as ExecBase: take item locks first (sorted
-		// order, deadlock-victim retry), then the cluster mutex; nothing
-		// under the mutex ever waits on a lock, so lock waits cannot
-		// entangle with mutex waits.
-		for attempt := 0; ; attempt++ {
-			if lockErr := b.acquireAll(owner, items, writes); lockErr != nil {
-				b.lm.ReleaseAll(owner)
-				if errors.Is(lockErr, lockmgr.ErrDeadlock) && attempt < 10 {
-					continue
-				}
-				return nil, false, obs.CauseNone, fmt.Errorf("replica: merge locks for %s: %w", ck.MobileID, lockErr)
-			}
-			break
+		// Same two-phase pattern as ExecBase: item locks first, then the
+		// mutexes; nothing under a mutex ever waits on a lock, so lock waits
+		// cannot entangle with mutex waits.
+		if lockErr := wrote.lockItems(owner, items, writes); lockErr != nil {
+			return nil, shardGroup{}, obs.CauseNone, fmt.Errorf("replica: merge locks for %s: %w", ck.MobileID, lockErr)
 		}
-		defer b.lm.ReleaseAll(owner)
 	}
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.admitOneLocked(ck, hm, p)
+	lockClusters(wrote.members)
+	out, cause, fb := g.admitLocked(ck, p)
+	unlockClusters(wrote.members)
+	if len(items) > 0 {
+		wrote.releaseItems(owner)
+	}
+	if fb != FallbackNone {
+		out, wrote = g.fallback(hm, fb)
+	}
+	return out, wrote, cause, nil
 }
 
-// admitOneLocked validates one prepared merge against the live base history
-// and installs it on success. Caller holds b.mu (and the merge's item
-// locks).
+// admitLocked validates the prepared merge against every member's live
+// history and installs it on success. It returns a nil outcome with the
+// retry cause when validation failed, and a fallback reason instead of
+// installing when the merge must reprocess. Caller holds the members'
+// mutexes and those of every shard the re-executions reach.
 //
-//tiermerge:locks(cluster)
-func (b *BaseCluster) admitOneLocked(ck Checkout, hm *history.Augmented, p *preparedMerge) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
-	if ck.WindowID != b.windowID {
-		// The window closed between prepare and admit; the prepared work is
-		// unusable under any validation.
-		return b.fallbackReprocess(hm, FallbackWindowExpired), true, obs.CauseWindowExpired, nil
-	}
-	if p.snap.structVer != b.structVer {
-		return nil, false, obs.CauseStructChanged, nil
+//tiermerge:locks(shard)
+func (g shardGroup) admitLocked(ck Checkout, p *preparedMerge) (*ConnectOutcome, obs.Cause, FallbackReason) {
+	for _, b := range g.members {
+		if b.token(ck).WindowID != b.windowID {
+			// The window closed between prepare and admit; the prepared
+			// work is unusable under any validation.
+			return nil, obs.CauseWindowExpired, FallbackWindowExpired
+		}
 	}
 	// The base extension must be invisible to the merge: every entry
-	// committed since the snapshot must touch nothing Hm read or wrote —
-	// or overlap only on items both sides access purely as commutative
-	// deltas (extensionInvisible). Then G(Hm, Hb) gains no edge incident
-	// to Hm, B and the rewrite are unchanged, and appending the forwarded
-	// write-back after the extension commutes with it.
-	for i := p.snap.histLen; i < len(b.entries); i++ {
-		if !p.extensionInvisible(b.entries[i].eff) {
-			return nil, false, obs.CauseExtensionConflict, nil
+	// committed on a member since its snapshot must touch nothing Hm read
+	// or wrote — or overlap only on items both sides access purely as
+	// commutative deltas (extensionInvisible). Then G(Hm, Hb) gains no edge
+	// incident to Hm, B and the rewrite are unchanged, and appending the
+	// forwarded write-back after the extension commutes with it. A member's
+	// entries carry only its own items' reads and writes, which is exactly
+	// the merge footprint's share of that member.
+	for i, b := range g.members {
+		snap := p.memberSnap(i)
+		if snap.structVer != b.structVer {
+			return nil, obs.CauseStructChanged, FallbackNone
+		}
+		for j := snap.histLen; j < len(b.entries); j++ {
+			if !p.extensionInvisible(b.entries[j].eff) {
+				return nil, obs.CauseExtensionConflict, FallbackNone
+			}
 		}
 	}
-	out, err = b.installPrepared(ck, hm, p)
-	return out, true, obs.CauseNone, err
+	out, fb := g.installLocked(ck, p)
+	return out, obs.CauseNone, fb
 }
 
-// mergeSerialLocked runs the whole protocol under the cluster lock — the
-// degradation path after repeated validation failures, immune to
-// invalidation by construction. Caller holds b.mu. prev (may be nil) is the
-// last optimistic attempt's prepared merge: the serial prepare extends it
-// when possible and never re-bills the upload. o must not be a user
-// observer: events would fire under the mutex. The caller passes an
-// eventBuffer (or nil) and flushes it after unlocking.
-//
-//tiermerge:locks(cluster)
-//tiermerge:buffered-events
-func (b *BaseCluster) mergeSerialLocked(ck Checkout, hm *history.Augmented, prev *preparedMerge, o obs.Observer) (*ConnectOutcome, error) {
-	snap, fb := b.snapshotLocked(ck)
-	if fb != FallbackNone {
-		return b.fallbackReprocess(hm, fb), nil
+// memberSnap returns member i's own prefix snapshot.
+func (p *preparedMerge) memberSnap(i int) prefixSnapshot {
+	if p.parts == nil {
+		return p.snap
 	}
-	p, err := prepareMerge(b.cfg, snap, hm, prev, o)
+	return p.parts[i]
+}
+
+// mergeSerialLocked runs the whole protocol under the mutexes — the
+// degradation path after repeated validation failures, immune to
+// invalidation by construction. Caller holds the mutex of every shard the
+// reconnect can touch (fallbackGroup). ver is the merge's synthetic
+// structure version counter (see combine). prev (may be nil) is the last
+// optimistic attempt's prepared merge: the serial prepare extends it when
+// possible and never re-bills the upload. o must not be a user observer:
+// events would fire under the mutexes. The caller passes an eventBuffer
+// (or nil) and flushes it after unlocking.
+//
+//tiermerge:locks(shard)
+//tiermerge:buffered-events
+func (g shardGroup) mergeSerialLocked(ck Checkout, hm *history.Augmented, prev *preparedMerge, ver *int64, o obs.Observer) (*ConnectOutcome, error) {
+	gs, fb := g.snapshotLocked(ck)
+	if fb != FallbackNone {
+		return g.fallbackLocked(hm, fb), nil
+	}
+	gs.combine(ver)
+	p, err := prepareMerge(g.home.cfg, gs.view, hm, prev, o)
 	if err != nil {
 		return nil, err
 	}
-	return b.installPrepared(ck, hm, p)
+	p.parts = gs.parts
+	out, fb := g.installLocked(ck, p)
+	if fb != FallbackNone {
+		out = g.fallbackLocked(hm, fb)
+	}
+	return out, nil
 }
 
-// installPrepared commits a validated prepared merge: charge the deltas,
-// install the forwarded updates at the strategy's position, and re-execute
-// the backed-out transactions. Caller holds b.mu.
+// installLocked commits a validated prepared merge: charge the deltas to
+// the home cluster (one deterministic shard, so aggregate counters stay
+// schedule-independent), install the forwarded updates, and re-execute the
+// backed-out transactions (step 6), comparing each against its tentative
+// effect for acceptance. Under a Strategy 1 insert conflict it installs
+// nothing and returns FallbackInsertConflict for the caller to reprocess.
+// Caller holds the members' mutexes and those of every shard the
+// re-executions reach.
 //
-//tiermerge:locks(cluster)
-func (b *BaseCluster) installPrepared(ck Checkout, hm *history.Augmented, p *preparedMerge) (*ConnectOutcome, error) {
-	b.counters.Add(p.deltaPrepare)
+//tiermerge:locks(shard)
+func (g shardGroup) installLocked(ck Checkout, p *preparedMerge) (*ConnectOutcome, FallbackReason) {
+	home := g.home
+	home.counters.Add(p.deltaPrepare)
 	if p.insertConflict {
-		return b.fallbackReprocess(hm, FallbackInsertConflict), nil
+		return nil, FallbackInsertConflict
 	}
-	insertAt := len(b.entries)
-	if b.cfg.Origin == Strategy1 && len(p.rep.ForwardUpdates)+len(p.rep.ForwardDeltas) > 0 {
-		insertAt = p.snap.pos
+	home.counters.Add(p.deltaCommit)
+	if g.cross() {
+		home.counters.Update(func(c *cost.Counts) { c.CrossShardMerges++ })
 	}
-	b.counters.Add(p.deltaCommit)
-	b.installForwarded(ck.MobileID, p.rep.ForwardUpdates, p.rep.ForwardDeltas, insertAt)
-
-	// Step 6: re-execute each backed-out tentative transaction, comparing
-	// against its tentative effect for acceptance.
+	g.installForwardedLocked(ck.MobileID, p)
 	out := &ConnectOutcome{Merged: true, Report: p.rep, BadIDs: p.rep.BadIDs, Saved: len(p.rep.SavedIDs)}
 	for _, t := range p.rep.Reexecute {
-		if b.reprocessOne(t, p.effByTxn[t]) {
+		if g.reexecLocked(t, p.effByTxn[t]) {
 			out.Reprocessed++
 		} else {
 			out.Failed++
 		}
 	}
-	return out, nil
+	return out, FallbackNone
+}
+
+// installForwardedLocked installs the merge's forwarded write-back
+// (repaired values plus net deltas) at each member's strategy position:
+// the tail under Strategy 2, the checkout position under Strategy 1, whose
+// insert-conflict check cleared it. A cross-shard group's write-back goes
+// through the tier's slice installer. Caller holds every member's mutex.
+//
+//tiermerge:locks(shard)
+func (g shardGroup) installForwardedLocked(mobileID string, p *preparedMerge) {
+	values, deltas := p.rep.ForwardUpdates, p.rep.ForwardDeltas
+	if len(values)+len(deltas) == 0 {
+		return
+	}
+	at := func(i int) int {
+		if g.home.cfg.Origin == Strategy1 {
+			return p.memberSnap(i).pos
+		}
+		return len(g.members[i].entries)
+	}
+	if !g.cross() {
+		g.home.installForwarded(mobileID, values, deltas, at(0))
+		return
+	}
+	g.home.tier.installForwardedAcrossLocked(g, mobileID, values, deltas, at)
 }

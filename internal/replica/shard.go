@@ -3,18 +3,15 @@ package replica
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/expr"
 	"tiermerge/internal/history"
-	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
@@ -24,29 +21,33 @@ import (
 // Sharded base tier. A single BaseCluster funnels every merge through one
 // cluster mutex — the scalability ceiling E13/E15 measure. ShardedBase
 // partitions the item space across N BaseCluster shards, each with its own
-// mutex, window clock, base history, WAL journal and cost counters. A
-// merge whose footprint lives in one partition runs entirely on that
-// shard — prepare, extend, admission — with zero cross-shard
-// coordination, so disjoint
-// merges on different shards share nothing at all. The rare cross-shard
-// merge runs a two-phase admit (DESIGN.md §11):
+// mutex, window clock, base history, WAL journal and cost counters. It
+// routes every operation to the group of shards owning its items and runs
+// it through the one pipeline (pipeline.go, base.go) that also serves a
+// plain cluster. A merge whose footprint lives in one partition runs as
+// that shard's group of one — prepare, extend, admission — with no
+// coordination, so disjoint merges on different shards share nothing at
+// all. The rare cross-shard merge runs the same pipeline over several
+// shards (DESIGN.md §11):
 //
 //  1. snapshot each involved shard's prefix and combine them into one
-//     serial base view, deduplicating previously installed cross-shard
-//     transactions into their global identity (full footprint) so cycles
-//     spanning partitions stay detectable;
-//  2. prepare lock-free against the combined view (the unchanged
-//     prepareMerge machinery);
-//  3. admit: acquire the involved shards' item locks, then their cluster
+//     serial base view (combineParts), deduplicating previously installed
+//     cross-shard transactions into their global identity (full
+//     footprint) so cycles spanning partitions stay detectable;
+//  2. prepare lock-free against the combined view;
+//  3. admit: acquire the item locks on their owning shards, then the shard
 //     mutexes in ascending shard order — one global order, so cross-shard
 //     admits can never deadlock each other — revalidate every shard's
 //     prefix, and install atomically across all of them or retry.
 //
-// Cross-shard installed transactions are stored per shard as restricted
-// slices (this shard's reads and writes only) sharing one *crossTxn
-// identity: restricted views are exact for single-shard merges (their
-// conflicts with the transaction can only involve this shard's items),
-// and the combined view is exact for cross-shard merges.
+// What stays here is what is truly sharded: routing, the window barrier,
+// origin composition, the per-shard tokens of a wire checkout, the
+// combined view and the slice installer. Cross-shard installed
+// transactions are stored per shard as restricted slices (this shard's
+// reads and writes only) sharing one *crossTxn identity: restricted views
+// are exact for single-shard merges (their conflicts with the transaction
+// can only involve this shard's items), and the combined view is exact for
+// cross-shard merges.
 
 // ShardRouter maps items to shards: an explicit Config.ShardFn when one is
 // configured, FNV-1a hashing of the item name otherwise.
@@ -96,8 +97,8 @@ func (r ShardRouter) shardsOf(set model.ItemSet) []int {
 
 // ShardedBase coordinates N BaseCluster shards behind the BaseCluster
 // connect surface (CheckoutReplica / Merge / Reprocess / Preview /
-// ExecBase / AdvanceWindow). With one shard every call delegates straight
-// to the underlying cluster — the N=1 configuration is byte-for-byte a
+// ExecBase / AdvanceWindow). With one shard every operation's group is the
+// underlying cluster's own — the N=1 configuration is byte-for-byte a
 // plain BaseCluster.
 //
 // Invariant: the per-shard window clocks advance only through
@@ -130,8 +131,8 @@ type ShardedBase struct {
 	// "U<mobile>.<seq>" forward transactions.
 	crossSeq atomic.Int64
 
-	// hookAfterPrepare mirrors BaseCluster.hookAfterPrepare for the
-	// cross-shard pipeline: tests use it to commit base transactions
+	// hookAfterPrepare mirrors BaseCluster.hookAfterPrepare for
+	// cross-shard groups: tests use it to commit base transactions
 	// between a cross-shard attempt's prepare and admit phases.
 	hookAfterPrepare func(attempt int)
 }
@@ -172,6 +173,7 @@ func NewShardedBase(initial model.State, shards int, cfg Config) *ShardedBase {
 		// disk engines through OpenShardedBase.
 		scfg.Store = nil
 		s.shards[k] = NewBaseCluster(parts[k], scfg)
+		s.shards[k].tier, s.shards[k].shard = s, k
 	}
 	return s
 }
@@ -214,6 +216,9 @@ func OpenShardedBase(dir string, initial model.State, shards int, cfg Config) (*
 				prev.CloseStore()
 			}
 			return nil, nil, fmt.Errorf("replica: open sharded base: shard %d: %w", k, err)
+		}
+		if shards > 1 {
+			b.tier, b.shard = s, k
 		}
 		s.shards[k] = b
 		recs[k] = rec
@@ -300,22 +305,6 @@ func (s *ShardedBase) Master() model.State {
 		}
 	}
 	return out
-}
-
-// emit delivers one coordination-path event to the user observer (shard
-// events go through the per-shard wrapped observers instead).
-func (s *ShardedBase) emit(ev obs.Event) {
-	if o := s.cfg.Observer; o != nil {
-		o.Observe(ev)
-	}
-}
-
-// spanStart mirrors BaseCluster.spanStart for the coordination path.
-func (s *ShardedBase) spanStart() time.Time {
-	if s.cfg.Observer == nil {
-		return time.Time{}
-	}
-	return time.Now()
 }
 
 // WindowID returns the current global window identifier, retrying around
@@ -463,164 +452,32 @@ func footprintOf(hm *history.Augmented) model.ItemSet {
 	return fp
 }
 
-// clustersOf maps sorted shard indices to their clusters.
-func (s *ShardedBase) clustersOf(involved []int) []*BaseCluster {
-	bs := make([]*BaseCluster, len(involved))
-	for i, k := range involved {
-		bs[i] = s.shards[k]
+// groupOf returns the group of shards owning the items of set, the lowest
+// of them home; an empty set goes to shard 0. A single owner's group is
+// that cluster's own group of one.
+func (s *ShardedBase) groupOf(set model.ItemSet) shardGroup {
+	ks := s.router.shardsOf(set)
+	switch len(ks) {
+	case 0:
+		return s.shards[0].solo
+	case 1:
+		return s.shards[ks[0]].solo
 	}
-	return bs
+	members := make([]*BaseCluster, len(ks))
+	for i, k := range ks {
+		members[i] = s.shards[k]
+	}
+	return shardGroup{members: members, home: members[0]}
 }
 
-// lockClusters acquires the given shards' cluster mutexes in ascending
-// shard order — the one global acquisition order every cross-shard path
-// uses, so two cross-shard admits (or an admit and a cross-shard base
-// transaction) can never deadlock on shard mutexes. Callers must pass the
-// clusters in that order (clustersOf over a sorted shard list).
-//
-//tiermerge:blocking
-func lockClusters(bs []*BaseCluster) {
-	for _, b := range bs {
-		b.mu.Lock()
-	}
-}
-
-// unlockClusters releases what lockClusters acquired.
-func unlockClusters(bs []*BaseCluster) {
-	for i := len(bs) - 1; i >= 0; i-- {
-		bs[i].mu.Unlock()
-	}
-}
-
-// acquireAcross takes the item locks on their owning shards' lock
-// managers in one globally sorted item order (the ExecBase discipline,
-// spanning managers), waiting as needed; it must never run while a
-// cluster mutex is held.
-//
-//tiermerge:blocking
-func (s *ShardedBase) acquireAcross(owner string, items []model.Item, writes model.ItemSet) error {
-	for _, it := range items {
-		mode := lockmgr.Shared
-		if writes.Has(it) {
-			mode = lockmgr.Exclusive
-		}
-		if err := s.shards[s.router.Shard(it)].lm.Acquire(owner, it, mode); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// releaseAcross drops the owner's locks on every shard.
-func (s *ShardedBase) releaseAcross(owner string) {
-	for _, b := range s.shards {
-		b.lm.ReleaseAll(owner)
-	}
-}
-
-// ExecBase runs one base transaction against the sharded tier: routed to
-// its shard when the footprint is shard-local, executed under every
-// involved shard's locks otherwise and installed as per-shard restricted
-// slices sharing one cross-shard identity.
+// ExecBase runs one base transaction against the sharded tier, over the
+// group of shards owning its static read and write sets: installed whole
+// on one shard, or as per-shard restricted slices sharing one cross-shard
+// identity.
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) ExecBase(t *tx.Transaction) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].ExecBase(t)
-	}
-	involved := s.router.shardsOf(t.StaticReadSet().Union(t.StaticWriteSet()))
-	if len(involved) <= 1 {
-		k := 0
-		if len(involved) == 1 {
-			k = involved[0]
-		}
-		return s.shards[k].ExecBase(t)
-	}
-	return s.execBaseCross(t, involved)
-}
-
-// execBaseCross is the cross-shard ExecBase path: item locks first (global
-// sorted order, deadlock retry), then the involved shards' mutexes in
-// ascending order, then execute over the combined owned state and install
-// the restricted slices.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) execBaseCross(t *tx.Transaction, involved []int) error {
-	if t.Kind != tx.Base {
-		return fmt.Errorf("%w: %s", ErrNotBase, t.ID)
-	}
-	items := t.StaticReadSet().Union(t.StaticWriteSet()).Items()
-	writes := t.StaticWriteSet()
-	for attempt := 0; ; attempt++ {
-		if err := s.acquireAcross(t.ID, items, writes); err != nil {
-			s.releaseAcross(t.ID)
-			if errors.Is(err, lockmgr.ErrDeadlock) && attempt < 10 {
-				continue
-			}
-			return fmt.Errorf("replica: locks for %s: %w", t.ID, err)
-		}
-		break
-	}
-	defer s.releaseAcross(t.ID)
-
-	bs := s.clustersOf(involved)
-	lockClusters(bs)
-	err := s.execBaseCrossLocked(t, involved)
-	unlockClusters(bs)
-	if err != nil {
-		return err
-	}
-	// Force every involved shard's journal before acknowledging.
-	return syncShards(bs)
-}
-
-// syncShards forces the journals of the given clusters to stable media —
-// the sharded counterpart of syncJournal, called after the shard mutexes
-// are released on every path that acknowledges a cross-shard commit.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
-func syncShards(bs []*BaseCluster) error {
-	for _, b := range bs {
-		if err := b.syncJournal(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execBaseCrossLocked executes t over a scratch state assembled from the
-// involved shards' masters and installs the result. Caller holds every
-// involved shard's mutex (and t's item locks).
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) execBaseCrossLocked(t *tx.Transaction, involved []int) error {
-	scratch := s.gatherLocked(t.StaticReadSet().Union(t.StaticWriteSet()))
-	eff, err := t.ExecInPlace(scratch, nil)
-	if err != nil {
-		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
-	}
-	home := s.shards[involved[0]]
-	nLocks := int64(len(eff.ReadSet.Union(eff.WriteSet)))
-	home.counters.Update(func(c *cost.Counts) {
-		c.BaseQueries += int64(t.StmtCount())
-		c.BaseLocks += nLocks
-	})
-	s.installSlicesLocked(t, eff)
-	return nil
-}
-
-// gatherLocked assembles a scratch state holding the current master value
-// of every item in set, read from each item's owning shard. Caller holds
-// every involved shard's mutex.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) gatherLocked(set model.ItemSet) model.State {
-	scratch := model.NewState()
-	for it := range set {
-		scratch.Set(it, s.shards[s.router.Shard(it)].master.Get(it))
-	}
-	return scratch
+	return s.groupOf(t.StaticReadSet().Union(t.StaticWriteSet())).execBase(t)
 }
 
 // installSlicesLocked installs one executed cross-shard transaction: for
@@ -629,14 +486,15 @@ func (s *ShardedBase) gatherLocked(set model.ItemSet) model.State {
 // — is executed on the shard master (reproducing the restricted effect
 // with true before-images) and appended to its history, all slices
 // sharing one *crossTxn global identity carrying the full transaction and
-// effect. Each shard forces its own commit record: a cross-shard install
-// pays one forced write per involved shard, the genuine durability cost
-// of spanning partitions. Caller holds every involved shard's mutex.
+// effect. ks are the shards the effect touches, ascending. Each shard
+// forces its own commit record: a cross-shard install pays one forced
+// write per involved shard, the genuine durability cost of spanning
+// partitions. Caller holds every involved shard's mutex.
 //
 //tiermerge:locks(shard)
-func (s *ShardedBase) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
+func (s *ShardedBase) installSlicesLocked(base *tx.Transaction, eff *tx.Effect, ks []int) {
 	g := &crossTxn{t: base, eff: eff}
-	for _, k := range s.router.shardsOf(eff.ReadSet.Union(eff.WriteSet)) {
+	for _, k := range ks {
 		b := s.shards[k]
 		slice := s.sliceTxn(base, eff, k, nil)
 		seff, err := slice.ExecInPlace(b.master, nil)
@@ -685,30 +543,32 @@ func (s *ShardedBase) sliceTxn(base *tx.Transaction, eff *tx.Effect, k int, delt
 	}
 }
 
-// Merge runs the merging protocol against the sharded tier: a merge whose
-// footprint lives in one shard routes straight to that shard's optimistic
-// pipeline; a cross-shard merge runs the two-phase admit.
+// Merge runs the merging protocol against the sharded tier over the group
+// of shards owning the merge's footprint: one shard's own pipeline, or
+// the cross-shard two-phase admit.
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Merge(ck, hm)
+	ck, err := s.shardTokens(ck)
+	if err != nil {
+		return nil, err
 	}
-	if ck.Shards == nil {
-		ck = s.wireTokens(ck)
-	} else if len(ck.Shards) != len(s.shards) {
-		return nil, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
+	return s.groupOf(footprintOf(hm)).merge(ck, hm)
+}
+
+// shardTokens checks a checkout's per-shard tokens against the tier. A
+// multi-shard checkout that crossed the wire with only the combined token
+// gets them synthesized (wireTokens); a one-shard tier reads the combined
+// token as its shard's own.
+func (s *ShardedBase) shardTokens(ck Checkout) (Checkout, error) {
+	switch {
+	case ck.Shards == nil && len(s.shards) > 1:
+		return s.wireTokens(ck), nil
+	case ck.Shards != nil && len(ck.Shards) != len(s.shards):
+		return ck, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
 			ErrBadConfig, len(ck.Shards), len(s.shards))
 	}
-	involved := s.router.shardsOf(footprintOf(hm))
-	if len(involved) <= 1 {
-		k := 0
-		if len(involved) == 1 {
-			k = involved[0]
-		}
-		return s.shards[k].Merge(ck.Shards[k], hm)
-	}
-	return s.mergeCross(ck, hm, involved)
+	return ck, nil
 }
 
 // wireTokens synthesizes the per-shard tokens of a checkout that crossed
@@ -740,193 +600,24 @@ func (s *ShardedBase) wireTokens(ck Checkout) Checkout {
 	return ck
 }
 
-// Preview reports what a cross-shard (or routed) merge would do right now
-// without committing anything, like BaseCluster.Preview.
+// Preview reports what a merge would do right now without committing
+// anything, like BaseCluster.Preview.
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) Preview(ck Checkout, hm *history.Augmented) (*merge.Report, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Preview(ck, hm)
+	ck, err := s.shardTokens(ck)
+	if err != nil {
+		return nil, err
 	}
-	if ck.Shards == nil {
-		ck = s.wireTokens(ck)
-	} else if len(ck.Shards) != len(s.shards) {
-		return nil, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
-			ErrBadConfig, len(ck.Shards), len(s.shards))
-	}
-	involved := s.router.shardsOf(footprintOf(hm))
-	if len(involved) <= 1 {
-		k := 0
-		if len(involved) == 1 {
-			k = involved[0]
-		}
-		return s.shards[k].Preview(ck.Shards[k], hm)
-	}
-	parts, fb := s.crossSnapshots(ck, involved)
-	switch fb {
-	case FallbackNone:
-	case FallbackWindowExpired:
-		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrWindowExpired)
-	default:
-		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
-	}
-	snap := combineParts(parts, -1)
-	return merge.Merge(hm, snap.hb, s.cfg.MergeOptions)
+	return s.groupOf(footprintOf(hm)).preview(ck, hm)
 }
 
 // Reprocess runs the original two-tier protocol against the sharded tier,
-// routing each tentative transaction to its shard (or across shards).
+// re-executing every tentative transaction on the shards it touches.
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) Reprocess(hm *history.Augmented) *ConnectOutcome {
-	if len(s.shards) == 1 {
-		return s.shards[0].Reprocess(hm)
-	}
-	start := s.spanStart()
-	out := s.reprocessAcross(hm, FallbackNone)
-	s.emit(obs.Event{
-		Phase:      obs.PhaseReprocess,
-		Detail:     "sharded",
-		Dur:        sinceSpan(start),
-		Reexecuted: out.Reprocessed,
-		Failed:     out.Failed,
-	})
-	return out
-}
-
-// reprocessAcross re-executes every transaction of hm, holding every
-// involved shard's mutex for the duration so the fallback installs as one
-// atomic unit, exactly like the unsharded fallbackReprocess under b.mu.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) reprocessAcross(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
-	involved := s.router.shardsOf(footprintOf(hm))
-	if len(involved) == 0 {
-		involved = []int{0}
-	}
-	bs := s.clustersOf(involved)
-	lockClusters(bs)
-	out := s.fallbackReprocessLocked(hm, reason, s.shards[involved[0]])
-	unlockClusters(bs)
-	if err := syncShards(bs); err != nil {
-		panic(fmt.Sprintf("replica: base journal failed: %v", err))
-	}
-	return out
-}
-
-// fallbackReprocessLocked is the sharded fallbackReprocess: every
-// transaction of hm re-executed in order, shard-local ones on their own
-// shard, cross-shard ones through the slice installer. Caller holds the
-// mutex of every shard hm's footprint touches; home takes the
-// merge-level charges.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) fallbackReprocessLocked(hm *history.Augmented, reason FallbackReason, home *BaseCluster) *ConnectOutcome {
-	out := &ConnectOutcome{Fallback: reason}
-	if reason != FallbackNone {
-		home.counters.Update(func(c *cost.Counts) { c.MergeFallbacks++ })
-	}
-	for i := 0; i < hm.H.Len(); i++ {
-		if s.reprocessOneLocked(hm.H.Txn(i), hm.Effects[i], home) {
-			out.Reprocessed++
-		} else {
-			out.Failed++
-		}
-	}
-	return out
-}
-
-// reprocessOneLocked re-executes one tentative transaction: on its own
-// shard when the footprint is shard-local (that shard's mutex is held —
-// the transaction came from a history whose shards are all locked), via
-// the cross-shard path otherwise.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect, home *BaseCluster) bool {
-	shards := s.router.shardsOf(t.StaticReadSet().Union(t.StaticWriteSet()))
-	if len(shards) <= 1 {
-		b := home
-		if len(shards) == 1 {
-			b = s.shards[shards[0]]
-		}
-		return b.reprocessOne(t, tentEff)
-	}
-	return s.crossReprocessOneLocked(t, tentEff, home)
-}
-
-// crossReprocessOneLocked re-executes one cross-shard tentative
-// transaction as a base transaction over the combined owned state and
-// installs it as restricted slices with a shared global identity. Caller
-// holds every involved shard's mutex; home takes the communication and
-// compute charges (the per-shard forced writes land on each shard).
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) crossReprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect, home *BaseCluster) bool {
-	w := s.cfg.Weights
-	home.counters.Msg(w, int64(t.StmtCount())*w.CodeBytesPerStmt+int64(t.ParamCount())*w.ArgBytes)
-	home.counters.Msg(w, w.ResultBytes)
-	base := &tx.Transaction{
-		ID:          t.ID + "@base",
-		Type:        t.Type,
-		Kind:        tx.Base,
-		Params:      t.Params,
-		Body:        t.Body,
-		InverseBody: t.InverseBody,
-	}
-	scratch := s.gatherLocked(base.StaticReadSet().Union(base.StaticWriteSet()))
-	eff, err := base.ExecInPlace(scratch, nil)
-	nLocks := int64(len(base.StaticReadSet().Union(base.StaticWriteSet())))
-	home.counters.Update(func(c *cost.Counts) {
-		c.BaseTransforms++
-		c.BaseQueries += int64(base.StmtCount())
-		c.BaseLocks += nLocks
-		c.TxnsReprocessed++
-		c.MobileReports++
-	})
-	if err != nil {
-		return false
-	}
-	if s.cfg.Acceptance != nil && tentEff != nil {
-		if aerr := s.cfg.Acceptance(t, tentEff, eff); aerr != nil {
-			return false
-		}
-	}
-	s.installSlicesLocked(base, eff)
-	return true
-}
-
-// shardPart is one involved shard's view of a cross-shard merge: the
-// shard, its checkout token, its validated prefix snapshot and the
-// cross-shard identities parallel to the snapshot's entries.
-type shardPart struct {
-	idx  int
-	b    *BaseCluster
-	ck   Checkout
-	snap prefixSnapshot
-	refs []*crossTxn
-}
-
-// crossSnapshots captures each involved shard's prefix snapshot (short
-// per-shard critical sections, no global lock). Inconsistencies between
-// the staggered snapshots are caught by the per-shard revalidation at
-// admission, exactly as single-shard prepares are.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) crossSnapshots(ck Checkout, involved []int) ([]*shardPart, FallbackReason) {
-	parts := make([]*shardPart, 0, len(involved))
-	for _, k := range involved {
-		b := s.shards[k]
-		b.mu.Lock()
-		snap, fb := b.snapshotLocked(ck.Shards[k])
-		if fb != FallbackNone {
-			b.mu.Unlock()
-			return nil, fb
-		}
-		refs := b.crossRefsLocked(snap.pos)
-		b.mu.Unlock()
-		parts = append(parts, &shardPart{idx: k, b: b, ck: ck.Shards[k], snap: snap, refs: refs})
-	}
-	return parts, FallbackNone
+	return s.groupOf(footprintOf(hm)).reprocess(hm)
 }
 
 // combineParts interleaves the involved shards' prefix snapshots into one
@@ -937,16 +628,17 @@ func (s *ShardedBase) crossSnapshots(ck Checkout, involved []int) ([]*shardPart,
 // consistent with every involved shard — the position every slice has
 // reached, which exists because cross-shard installs append to all their
 // shards atomically and snapshots are taken in ascending shard order.
+// refs[i] holds the cross-shard identities parallel to parts[i]'s entries.
 // structVer is a caller-chosen synthetic version; cross-shard retries pass
 // strictly decreasing values so prepareMerge always rebuilds (per-shard
 // suffixes cannot be grafted onto a combined graph).
-func combineParts(parts []*shardPart, structVer int64) prefixSnapshot {
+func combineParts(parts []prefixSnapshot, refs [][]*crossTxn, structVer int64) prefixSnapshot {
 	type ref struct{ part, pos int }
 	where := make(map[*crossTxn][]ref)
 	total := 0
-	for pi, p := range parts {
-		total += len(p.refs)
-		for i, g := range p.refs {
+	for pi := range parts {
+		total += len(refs[pi])
+		for i, g := range refs[pi] {
 			if g != nil {
 				where[g] = append(where[g], ref{pi, i})
 			}
@@ -972,13 +664,13 @@ func combineParts(parts []*shardPart, structVer int64) prefixSnapshot {
 	for {
 		progress := false
 		for pi, p := range parts {
-			for ptr[pi] < len(p.refs) {
+			for ptr[pi] < len(refs[pi]) {
 				i := ptr[pi]
-				g := p.refs[i]
+				g := refs[pi][i]
 				switch {
 				case g == nil:
-					entries = append(entries, p.snap.hb.H.Entries[i])
-					effects = append(effects, p.snap.hb.Effects[i])
+					entries = append(entries, p.hb.H.Entries[i])
+					effects = append(effects, p.hb.Effects[i])
 				case emitted[g]:
 					// A sibling slice already emitted the global entry.
 				case ready(g):
@@ -993,8 +685,8 @@ func combineParts(parts []*shardPart, structVer int64) prefixSnapshot {
 		nextPart:
 		}
 		done := true
-		for pi, p := range parts {
-			if ptr[pi] < len(p.refs) {
+		for pi := range parts {
+			if ptr[pi] < len(refs[pi]) {
 				done = false
 			}
 		}
@@ -1004,9 +696,9 @@ func combineParts(parts []*shardPart, structVer int64) prefixSnapshot {
 		if !progress {
 			// Unreachable when snapshots respect the atomic cross-install
 			// order; break the tie deterministically instead of spinning.
-			for pi, p := range parts {
-				if ptr[pi] < len(p.refs) {
-					emitCross(p.refs[ptr[pi]])
+			for pi := range parts {
+				if ptr[pi] < len(refs[pi]) {
+					emitCross(refs[pi][ptr[pi]])
 					ptr[pi]++
 					break
 				}
@@ -1015,7 +707,7 @@ func combineParts(parts []*shardPart, structVer int64) prefixSnapshot {
 	}
 	hb := &history.Augmented{H: &history.History{Entries: entries}, Effects: effects}
 	return prefixSnapshot{
-		windowID:  parts[0].snap.windowID,
+		windowID:  parts[0].windowID,
 		structVer: structVer,
 		histLen:   len(entries),
 		pos:       0,
@@ -1023,236 +715,15 @@ func combineParts(parts []*shardPart, structVer int64) prefixSnapshot {
 	}
 }
 
-// mergeCross is the two-phase cross-shard merge: optimistic attempts
-// (per-shard snapshots, combined prepare, all-shards validate-and-admit)
-// followed by a serial round holding every involved shard's mutex, which
-// cannot be invalidated. Mirrors mergePipelined's shape and events, with
-// Detail "cross-shard".
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) mergeCross(ck Checkout, hm *history.Augmented, involved []int) (*ConnectOutcome, error) {
-	attempts := s.cfg.MergeAttempts
-	if attempts == 0 {
-		attempts = defaultMergeAttempts
-	}
-	home := s.shards[involved[0]]
-	seq := home.mergeSeq.Add(1)
-	mergeStart := s.spanStart()
-	finish := func(out *ConnectOutcome, err error) (*ConnectOutcome, error) {
-		if s.cfg.Observer == nil {
-			return out, err
-		}
-		ev := obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseMerge, Detail: "cross-shard", Dur: sinceSpan(mergeStart),
-		}
-		if err != nil {
-			ev.Err = err.Error()
-		} else if out != nil {
-			if out.Fallback != FallbackNone {
-				s.emit(obs.Event{
-					Mobile: ck.MobileID, Seq: seq,
-					Phase: obs.PhaseFallback, Detail: "cross-shard",
-					Cause: obs.Cause(out.Fallback),
-				})
-			}
-			ev.Saved = out.Saved
-			ev.BackedOut = len(out.BadIDs)
-			ev.Reexecuted = out.Reprocessed
-			ev.Failed = out.Failed
-		}
-		s.emit(ev)
-		return out, err
-	}
-	var prev *preparedMerge
-	var synthVer int64
-	for attempt := 1; attempt <= attempts; attempt++ {
-		snapStart := s.spanStart()
-		parts, fb := s.crossSnapshots(ck, involved)
-		if fb != FallbackNone {
-			return finish(s.reprocessAcross(hm, fb), nil)
-		}
-		synthVer--
-		snap := combineParts(parts, synthVer)
-		s.emit(obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseSnapshot, Detail: "cross-shard",
-			Attempt: attempt, Dur: sinceSpan(snapStart),
-		})
-		p, err := prepareMerge(s.cfg, snap, hm, prev, bindMerge(s.cfg.Observer, ck.MobileID, seq, attempt))
-		if err != nil {
-			return finish(nil, err)
-		}
-		if h := s.hookAfterPrepare; h != nil {
-			h(attempt)
-		}
-		admitStart := s.spanStart()
-		out, admitted, cause, err := s.crossAdmit(ck, hm, p, parts)
-		if err != nil {
-			return finish(nil, err)
-		}
-		s.emit(obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseAdmit, Detail: "cross-shard",
-			Attempt: attempt, Dur: sinceSpan(admitStart), Cause: cause,
-		})
-		if admitted {
-			// Force the installed slices before the mobile node treats
-			// its tentative work as saved.
-			if serr := syncShards(s.clustersOf(involved)); serr != nil {
-				return finish(nil, serr)
-			}
-			return finish(out, nil)
-		}
-		prev = p
-	}
-	// Serial round: snapshot, prepare and install under every involved
-	// shard's mutex — immune to invalidation by construction.
-	serialStart := s.spanStart()
-	bs := s.clustersOf(involved)
-	lockClusters(bs)
-	out, err := s.mergeCrossSerialLocked(ck, hm, involved, prev, synthVer-1)
-	unlockClusters(bs)
-	if err == nil {
-		err = syncShards(bs)
-	}
-	if attempts < 0 {
-		attempts = 0
-	}
-	s.emit(obs.Event{
-		Mobile: ck.MobileID, Seq: seq,
-		Phase: obs.PhaseSerial, Detail: "cross-shard",
-		Attempt: attempts, Dur: sinceSpan(serialStart),
-	})
-	return finish(out, err)
-}
-
-// mergeCrossSerialLocked is the serial cross-shard round. Caller holds
-// every involved shard's mutex. The carried prev still applies: the
-// prepare rebuilds (combined views are never grafted) without re-billing
-// the upload. The observer passed down is nil — no user events can fire
-// under the held shard mutexes.
-//
-//tiermerge:locks(shard)
-//tiermerge:buffered-events
-func (s *ShardedBase) mergeCrossSerialLocked(ck Checkout, hm *history.Augmented, involved []int, prev *preparedMerge, synthVer int64) (*ConnectOutcome, error) {
-	home := s.shards[involved[0]]
-	parts := make([]*shardPart, 0, len(involved))
-	for _, k := range involved {
-		b := s.shards[k]
-		snap, fb := b.snapshotLocked(ck.Shards[k])
-		if fb != FallbackNone {
-			return s.fallbackReprocessLocked(hm, fb, home), nil
-		}
-		parts = append(parts, &shardPart{idx: k, b: b, ck: ck.Shards[k], snap: snap, refs: b.crossRefsLocked(snap.pos)})
-	}
-	snap := combineParts(parts, synthVer)
-	p, err := prepareMerge(s.cfg, snap, hm, prev, nil)
-	if err != nil {
-		return nil, err
-	}
-	return s.crossInstallLocked(ck, hm, p, parts)
-}
-
-// crossAdmit is the cross-shard admission: acquire the merge's item locks
-// across the involved shards' lock managers (global sorted order,
-// deadlock retry), then the shard mutexes in ascending order, revalidate
-// every shard and install — or classify the retry.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) crossAdmit(ck Checkout, hm *history.Augmented, p *preparedMerge, parts []*shardPart) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
-	owner, items, writes := p.lockPlan(ck.MobileID)
-	if len(items) > 0 {
-		for attempt := 0; ; attempt++ {
-			if lockErr := s.acquireAcross(owner, items, writes); lockErr != nil {
-				s.releaseAcross(owner)
-				if errors.Is(lockErr, lockmgr.ErrDeadlock) && attempt < 10 {
-					continue
-				}
-				return nil, false, obs.CauseNone, fmt.Errorf("replica: merge locks for %s: %w", ck.MobileID, lockErr)
-			}
-			break
-		}
-		defer s.releaseAcross(owner)
-	}
-	bs := make([]*BaseCluster, len(parts))
-	for i, part := range parts {
-		bs[i] = part.b
-	}
-	lockClusters(bs)
-	out, admitted, cause, err = s.crossAdmitLocked(ck, hm, p, parts)
-	unlockClusters(bs)
-	return out, admitted, cause, err
-}
-
-// crossAdmitLocked validates the prepared cross-shard merge against every
-// involved shard's live history and installs it on success. Caller holds
-// every involved shard's mutex (and the merge's item locks). The
-// extension check runs against each shard's restricted entry effects —
-// exact, because the merge footprint's intersection with a shard's items
-// is precisely what that shard's restricted views carry.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) crossAdmitLocked(ck Checkout, hm *history.Augmented, p *preparedMerge, parts []*shardPart) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
-	for _, part := range parts {
-		if part.ck.WindowID != part.b.windowID {
-			return s.fallbackReprocessLocked(hm, FallbackWindowExpired, parts[0].b), true, obs.CauseWindowExpired, nil
-		}
-	}
-	for _, part := range parts {
-		if part.snap.structVer != part.b.structVer {
-			return nil, false, obs.CauseStructChanged, nil
-		}
-		for i := part.snap.histLen; i < len(part.b.entries); i++ {
-			if !p.extensionInvisible(part.b.entries[i].eff) {
-				return nil, false, obs.CauseExtensionConflict, nil
-			}
-		}
-	}
-	out, err = s.crossInstallLocked(ck, hm, p, parts)
-	return out, true, obs.CauseNone, err
-}
-
-// crossInstallLocked commits a validated cross-shard merge: charge the
-// deltas to the home shard (the lowest involved index — deterministic, so
-// aggregate counters stay schedule-independent), install the forwarded
-// updates across shards, and re-execute the backed-out transactions.
-// Caller holds every involved shard's mutex.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) crossInstallLocked(ck Checkout, hm *history.Augmented, p *preparedMerge, parts []*shardPart) (*ConnectOutcome, error) {
-	home := parts[0].b
-	home.counters.Add(p.deltaPrepare)
-	if p.insertConflict {
-		return s.fallbackReprocessLocked(hm, FallbackInsertConflict, home), nil
-	}
-	home.counters.Add(p.deltaCommit)
-	home.counters.Update(func(c *cost.Counts) { c.CrossShardMerges++ })
-	s.installForwardedCrossLocked(ck.MobileID, p.rep.ForwardUpdates, p.rep.ForwardDeltas, parts)
-	out := &ConnectOutcome{Merged: true, Report: p.rep, BadIDs: p.rep.BadIDs, Saved: len(p.rep.SavedIDs)}
-	for _, t := range p.rep.Reexecute {
-		if s.reprocessOneLocked(t, p.effByTxn[t], home) {
-			out.Reprocessed++
-		} else {
-			out.Failed++
-		}
-	}
-	return out, nil
-}
-
-// installForwardedCrossLocked installs a cross-shard merge's forwarded
+// installForwardedAcrossLocked installs a cross-shard group's forwarded
 // write-back (repaired values plus net deltas). Updates confined to one
 // shard go through that shard's ordinary installForwarded; updates
 // spanning shards become one global forwarded transaction (the "XU"
-// namespace) installed as per-shard slices sharing its identity, each at
-// its shard's strategy position. Caller holds every involved shard's
-// mutex.
+// namespace) installed as per-shard slices sharing its identity. Member i
+// installs at position at(i). Caller holds every member's mutex.
 //
 //tiermerge:locks(shard)
-func (s *ShardedBase) installForwardedCrossLocked(mobileID string, values, deltas map[model.Item]model.Value, parts []*shardPart) {
-	if len(values)+len(deltas) == 0 {
-		return
-	}
+func (s *ShardedBase) installForwardedAcrossLocked(g shardGroup, mobileID string, values, deltas map[model.Item]model.Value, at func(i int) int) {
 	valsBy := make(map[int]map[model.Item]model.Value)
 	delsBy := make(map[int]map[model.Item]model.Value)
 	hit := make(map[int]int)
@@ -1268,34 +739,28 @@ func (s *ShardedBase) installForwardedCrossLocked(mobileID string, values, delta
 	}
 	split(valsBy, values)
 	split(delsBy, deltas)
-	insertAt := func(part *shardPart, n int) int {
-		if s.cfg.Origin == Strategy1 && n > 0 {
-			return part.snap.pos
-		}
-		return len(part.b.entries)
-	}
 	if len(hit) == 1 {
-		for _, part := range parts {
-			if n := hit[part.idx]; n > 0 {
-				part.b.installForwarded(mobileID, valsBy[part.idx], delsBy[part.idx], insertAt(part, n))
+		for i, b := range g.members {
+			if hit[b.shard] > 0 {
+				b.installForwarded(mobileID, valsBy[b.shard], delsBy[b.shard], at(i))
 			}
 		}
 		return
 	}
 	gt := s.crossForwardTxn(mobileID, values, deltas)
-	geff, err := gt.ExecInPlace(s.gatherLocked(gt.StaticReadSet().Union(gt.StaticWriteSet())), nil)
+	geff, err := gt.ExecInPlace(g.gatherLocked(gt.StaticReadSet().Union(gt.StaticWriteSet())), nil)
 	if err != nil {
 		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
 	}
-	g := &crossTxn{t: gt, eff: geff}
-	for _, part := range parts {
-		n := hit[part.idx]
+	xt := &crossTxn{t: gt, eff: geff}
+	for i, b := range g.members {
+		n := hit[b.shard]
 		if n == 0 {
 			continue
 		}
-		slice := s.sliceTxn(gt, geff, part.idx, deltas)
+		slice := s.sliceTxn(gt, geff, b.shard, deltas)
 		slice.Type = "forwarded-updates"
-		part.b.installForwardTxn(slice, n, insertAt(part, n), g)
+		b.installForwardTxn(slice, n, at(i), xt)
 	}
 }
 

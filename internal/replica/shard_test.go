@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"tiermerge/internal/cost"
+	"tiermerge/internal/expr"
 	"tiermerge/internal/model"
+	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
@@ -561,4 +563,210 @@ func TestShardSharedOriginReadOnly(t *testing.T) {
 		b := NewBaseCluster(shardFleetOrigin(n), Config{})
 		run(t, func() { b.AdvanceWindow() }, func(id string) *MobileNode { return NewMobileNode(id, b) })
 	})
+}
+
+// xyzShard places x on shard 0, y on shard 1 and z on shard 2 (shard 0 of
+// a two-shard tier); every other item lands on shard 1.
+func xyzShard(it model.Item) int {
+	switch it {
+	case "x":
+		return 0
+	case "z":
+		return 2
+	}
+	return 1
+}
+
+// guardedBump is the conditional the re-execution tests back out: while
+// x >= 50 it takes 10 from x (and, with withZ, adds 1 to z); otherwise it
+// adds 1 to y. Run tentatively against x = 100 it touches only x (and z);
+// re-executed after a base x := 10 it writes y, which lives on another
+// shard than everything the tentative run touched.
+func guardedBump(id string, withZ bool) *tx.Transaction {
+	then := []tx.Stmt{tx.Update("x", expr.Sub(expr.Var("x"), expr.Const(10)))}
+	if withZ {
+		then = append(then, tx.Update("z", expr.Add(expr.Var("z"), expr.Const(1))))
+	}
+	return tx.MustNew(id, tx.Tentative, tx.IfElse(
+		expr.GE(expr.Var("x"), expr.Const(50)),
+		then,
+		[]tx.Stmt{tx.Update("y", expr.Add(expr.Var("y"), expr.Const(1)))},
+	))
+}
+
+// checkShardOwnership fails when some shard's master holds an item its
+// router places elsewhere.
+func checkShardOwnership(t *testing.T, s *ShardedBase) {
+	t.Helper()
+	for k := 0; k < s.Shards(); k++ {
+		for it, v := range s.Shard(k).Master() {
+			if owner := s.ShardOf(it); owner != k {
+				t.Errorf("shard %d master holds %s=%d, which shard %d owns", k, it, v, owner)
+			}
+		}
+	}
+}
+
+// TestShardReexecutionWritesOwningShard: a shard-local reconnect whose
+// backed-out transaction, re-executed at the base, takes the branch that
+// writes another shard's item must install that write on the owning
+// shard. Three entry points re-execute it — the routed merge, the
+// window-expired fallback and Reprocess — and each must land on the
+// master a one-shard tier computes, with no shard holding a foreign item.
+func TestShardReexecutionWritesOwningShard(t *testing.T) {
+	cases := []struct {
+		name    string
+		connect func(t *testing.T, s *ShardedBase, m *MobileNode)
+	}{
+		{"routed-merge", func(t *testing.T, s *ShardedBase, m *MobileNode) {
+			out, err := m.ConnectMerge()
+			if err != nil || !out.Merged || out.Reprocessed != 1 {
+				t.Fatalf("connect: out=%+v err=%v", out, err)
+			}
+		}},
+		{"window-expired-fallback", func(t *testing.T, s *ShardedBase, m *MobileNode) {
+			s.AdvanceWindow()
+			out, err := m.ConnectMerge()
+			if err != nil || out.Fallback != FallbackWindowExpired || out.Reprocessed != 1 {
+				t.Fatalf("connect: out=%+v err=%v", out, err)
+			}
+		}},
+		{"reprocess", func(t *testing.T, s *ShardedBase, m *MobileNode) {
+			if out := m.ConnectReprocess(); out.Reprocessed != 1 {
+				t.Fatalf("reprocess: out=%+v", out)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(shards int) *ShardedBase {
+				s := NewShardedBase(model.StateOf(map[model.Item]model.Value{"x": 100, "y": 100}),
+					shards, Config{ShardFn: xyzShard})
+				m := NewShardedMobileNode("m1", s)
+				if err := m.Run(guardedBump("T1", false)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.ExecBase(workload.SetPrice("Bx", tx.Base, "x", 10)); err != nil {
+					t.Fatal(err)
+				}
+				c.connect(t, s, m)
+				return s
+			}
+			one, two := run(1), run(2)
+			if got := one.Master().Get("y"); got != 101 {
+				t.Fatalf("one-shard baseline y = %d, want 101", got)
+			}
+			if got, want := two.Master(), one.Master(); !got.Equal(want) {
+				t.Errorf("2-shard master %s != 1-shard master %s", got, want)
+			}
+			checkShardOwnership(t, two)
+		})
+	}
+}
+
+// TestCrossShardReexecutionLocksEveryOwner: a cross-shard merge (x on
+// shard 0, z on shard 2) backs out a transaction whose re-execution reads
+// x and writes y on shard 1, while base transactions keep committing to
+// another item of shard 1. The re-execution must hold shard 1 like every
+// other shard it touches — the race detector reports the unguarded read
+// and append otherwise — and every re-executed write must land.
+func TestCrossShardReexecutionLocksEveryOwner(t *testing.T) {
+	const n = 6
+	s := NewShardedBase(model.StateOf(map[model.Item]model.Value{"x": 100, "y": 100, "z": 100, "w": 100}),
+		3, Config{ShardFn: xyzShard})
+	ms := make([]*MobileNode, n)
+	for i := range ms {
+		ms[i] = NewShardedMobileNode(fmt.Sprintf("m%d", i), s)
+		if err := ms[i].Run(guardedBump(fmt.Sprintf("T%d", i), true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.ExecBase(workload.SetPrice("Bx", tx.Base, "x", 10)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	deposits := 0
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.ExecBase(workload.Deposit(fmt.Sprintf("Bw%d", deposits), tx.Base, "w", 1)); err != nil {
+				t.Error(err)
+				return
+			}
+			deposits++
+		}
+	}()
+	for i, m := range ms {
+		out, err := m.ConnectMerge()
+		if err != nil || !out.Merged || out.Reprocessed != 1 {
+			t.Errorf("mobile %d: out=%+v err=%v", i, out, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	master := s.Master()
+	if got := master.Get("y"); got != 100+n {
+		t.Errorf("y = %d, want %d (one re-executed bump per mobile)", got, 100+n)
+	}
+	if got := master.Get("w"); got != model.Value(100+deposits) {
+		t.Errorf("w = %d, want %d", got, 100+deposits)
+	}
+	if c := s.Counters(); c.CrossShardMerges != n {
+		t.Errorf("CrossShardMerges = %d, want %d", c.CrossShardMerges, n)
+	}
+	checkShardOwnership(t, s)
+}
+
+// TestCrossShardSerialTraceParity: the serial round emits the prepare
+// sub-phase events of a cross-shard merge exactly as it does for a
+// single-shard one — buffered under the shard mutexes and flushed after.
+func TestCrossShardSerialTraceParity(t *testing.T) {
+	subPhases := map[obs.Phase]bool{
+		obs.PhaseGraph: true, obs.PhaseBackout: true, obs.PhaseRewrite: true, obs.PhasePrune: true,
+	}
+	run := func(shards int) map[obs.Phase]int {
+		var mu sync.Mutex
+		seen := make(map[obs.Phase]int)
+		o := obs.ObserverFunc(func(ev obs.Event) {
+			if subPhases[ev.Phase] {
+				mu.Lock()
+				seen[ev.Phase]++
+				mu.Unlock()
+			}
+		})
+		s := NewShardedBase(model.StateOf(map[model.Item]model.Value{"x": 100, "y": 100}),
+			shards, Config{MergeAttempts: -1, Observer: o, ShardFn: xyzShard})
+		m := NewShardedMobileNode("m1", s)
+		if err := m.Run(workload.Transfer("T1", tx.Tentative, "x", "y", 5)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ExecBase(workload.SetPrice("Bx", tx.Base, "x", 70)); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := m.ConnectMerge(); err != nil || !out.Merged {
+			t.Fatalf("%d shards: connect: out=%+v err=%v", shards, out, err)
+		}
+		if shards > 1 {
+			if c := s.Counters(); c.CrossShardMerges != 1 {
+				t.Fatalf("%d shards: CrossShardMerges = %d, want 1", shards, c.CrossShardMerges)
+			}
+		}
+		return seen
+	}
+	one, two := run(1), run(2)
+	for ph := range subPhases {
+		if one[ph] == 0 {
+			t.Errorf("single-shard serial merge emitted no %s event", ph)
+		}
+		if one[ph] != two[ph] {
+			t.Errorf("%s events: single-shard %d, cross-shard %d", ph, one[ph], two[ph])
+		}
+	}
 }

@@ -131,9 +131,16 @@ echo "== race (sharded base tier: two-phase cross-shard merges + window barrier)
 # Explicit gate for the sharding invariants: N=1 parity with the plain
 # cluster, serial-order equivalence of concurrent sharded reconnects,
 # counter parity with the serial pipeline, cross-shard merges vs the
-# single-shard baseline, the checkout/advance window barrier, and the
-# all-shards-contended deadlock smoke — all under the race detector.
-gate='TestShard|TestCrossShard|TestWindowBarrier'
+# single-shard baseline, the checkout/advance window barrier, the
+# all-shards-contended deadlock smoke, and the shard-group pipeline's
+# regressions: a re-execution writes on the shard owning each item
+# (TestShardReexecutionWritesOwningShard), holds the mutex of every shard
+# it touches (TestCrossShardReexecutionLocksEveryOwner), and a
+# cross-shard serial round emits the same prepare sub-phase events as a
+# single-shard one (TestCrossShardSerialTraceParity) — all under the race
+# detector. The three are named in the pattern as well, so require_tests
+# fails if one is renamed away.
+gate='TestShard|TestCrossShard|TestWindowBarrier|TestShardReexecutionWritesOwningShard|TestCrossShardReexecutionLocksEveryOwner|TestCrossShardSerialTraceParity'
 require_tests ./internal/replica/ "$gate"
 go test -race -count=1 -run "$gate" ./internal/replica/
 
